@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-json bench-gate obs-race service-race serve-smoke fleet-smoke jobs-smoke chaos-fleet-smoke fuzz-smoke soak-smoke chaos-smoke ci
+.PHONY: all build vet test race bench bench-smoke bench-json bench-gate perfbench-check obs-race service-race serve-smoke fleet-smoke jobs-smoke chaos-fleet-smoke fuzz-smoke soak-smoke chaos-smoke ci
 
 all: build
 
@@ -46,6 +46,12 @@ bench-json:
 bench-gate:
 	$(GO) test -run='^$$' -bench='^BenchmarkAnalyzeParallel$$' -benchtime=$(BENCHTIME) -benchmem . \
 		| $(GO) run ./cmd/benchjson -gate BENCH_baseline.json
+
+# The repository benchmark (perfbench/) is its own Go module, so
+# `go build ./...` never compiles it: vet and test it here, so an API
+# change that breaks the benchmark fails CI instead of a benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # The observability layer under the race detector: tracer lane
 # allocation and the metrics registry are hammered from many goroutines.
@@ -113,9 +119,12 @@ soak-smoke:
 
 # Fault-containment sweep: armed failpoints, budget exhaustion, torn and
 # corrupted snapshot files, service panic recovery, and client retry
-# behavior, all under the race detector.
+# behavior, all under the race detector — then the job-log recovery and
+# eviction tests twenty times over, so a persist/publish ordering race
+# cannot hide behind a lucky schedule.
 chaos-smoke:
 	$(GO) test -race -run 'Quarantine|Budget|Deadline|Disk|Persistent|Fault|Panic|Retry|TrapBait|Redact|Canonicalize|Injected|Rescatter|AllDead|CorruptAndMissing' \
 		./internal/fault ./internal/core ./internal/snapshot ./internal/service ./internal/client ./internal/fuzzgen ./internal/dist ./cmd/deviant
+	$(GO) test -count=20 -run 'JobRecovery|JobLog' ./internal/service
 
-ci: vet build race bench-smoke bench-gate obs-race service-race serve-smoke fleet-smoke jobs-smoke chaos-fleet-smoke bench-json fuzz-smoke soak-smoke chaos-smoke
+ci: vet build perfbench-check race bench-smoke bench-gate obs-race service-race serve-smoke fleet-smoke jobs-smoke chaos-fleet-smoke bench-json fuzz-smoke soak-smoke chaos-smoke

@@ -338,11 +338,12 @@ func printCheckerStats(w io.Writer, res *deviant.Result) {
 	}
 	sort.Strings(names)
 	fmt.Fprintf(w, "per-checker:\n")
-	fmt.Fprintf(w, "  %-10s %10s %8s %10s %10s\n", "checker", "seconds", "reports", "visits", "memo-hits")
+	fmt.Fprintf(w, "  %-10s %10s %10s %8s %10s %10s\n", "checker", "seconds", "derive", "reports", "visits", "memo-hits")
 	for _, name := range names {
 		l := obs.L("checker", name)
-		fmt.Fprintf(w, "  %-10s %10.4f %8.0f %10.0f %10.0f\n", name,
+		fmt.Fprintf(w, "  %-10s %10.4f %10.4f %8.0f %10.0f %10.0f\n", name,
 			reg.Counter(core.MetricCheckerSeconds, "", l).Value(),
+			reg.Counter(core.MetricDeriveSeconds, "", l).Value(),
 			reg.Counter(core.MetricCheckerReports, "", l).Value(),
 			reg.Counter(core.MetricCheckerVisits, "", l).Value(),
 			reg.Counter(core.MetricCheckerMemoHits, "", l).Value())

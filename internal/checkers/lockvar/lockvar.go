@@ -1,8 +1,10 @@
 // Package lockvar implements the statistical "does lock <l> protect
-// variable <v>" checker of Section 3.3. It treats every (variable, lock)
-// combination as a candidate MUST belief, counts protected and
-// unprotected accesses, and ranks the unprotected ones (the errors) by
-// the z statistic of the pair's evidence.
+// variable <v>" checker of Section 3.3. Every (variable, lock) pair
+// observed at least once with the variable accessed while the lock is
+// held is a candidate MUST belief; the checker counts protected and
+// unprotected accesses and ranks the unprotected ones (the errors) by the
+// z statistic of the pair's evidence. A pair never seen held has no
+// example, so there is no belief to violate and no binding to rank.
 //
 // The checker also applies the non-spurious principle (§5): a critical
 // section that accesses exactly one shared variable promotes the MAY
@@ -30,19 +32,19 @@ const maxSitesPerPair = 64
 
 // Checker accumulates lock/variable evidence across a whole program.
 type Checker struct {
-	conv     *latent.Conventions
-	globals  map[string]bool // shared-variable universe
-	locks    map[string]bool // lock-id universe
-	lockList []string        // locks, sorted; frozen after New, shared by forks
-	p0       float64
+	conv    *latent.Conventions
+	globals map[string]bool // shared-variable universe
+	locks   map[string]bool // lock-id universe
+	p0      float64
 
 	// Evidence, factored by the identity Checks(v,l) = accesses(v) and
 	// Examples(v,l) = heldAt(v,l): a pair's Checks counter does not
 	// depend on the lock at all, and its Examples counter only grows
 	// when the lock is actually held — so one statement costs one
 	// accesses bump plus one bump per held lock (usually zero), instead
-	// of a counter update per lock in the universe. The O(vars × locks)
-	// pair table exists only as the materialized Bindings slice.
+	// of a counter update per lock in the universe. No O(vars × locks)
+	// pair table ever exists: Bindings enumerates heldAt, the pairs with
+	// at least one example.
 	accesses map[string]int // v → shared accesses (= Checks of every pair of v)
 	heldAt   map[vl]int     // (v, l) → accesses of v made while l held (= Examples)
 	must     map[vl]bool    // promoted MUST pairs (single-var critical sections)
@@ -148,11 +150,6 @@ func New(prog *csem.Program, conv *latent.Conventions) *Checker {
 			return true
 		})
 	}
-	c.lockList = make([]string, 0, len(c.locks))
-	for l := range c.locks {
-		c.lockList = append(c.lockList, l)
-	}
-	sort.Strings(c.lockList)
 	for name, vd := range prog.Globals {
 		if c.locks[name] {
 			continue
@@ -554,7 +551,6 @@ func (c *Checker) Fork() *Checker {
 		conv:     c.conv,
 		globals:  c.globals,
 		locks:    c.locks,
-		lockList: c.lockList,
 		p0:       c.p0,
 		accesses: make(map[string]int),
 		heldAt:   make(map[vl]int),
@@ -593,7 +589,6 @@ func (c *Checker) Merge(o *Checker) {
 	}
 }
 
-
 // ---------------------------------------------------------------------------
 // results
 
@@ -605,22 +600,22 @@ type Binding struct {
 	Must bool // promoted by the single-variable critical-section rule
 }
 
-// Bindings returns all candidate (v, l) instances ranked by z. The
-// ranking (a sort over every pair) is memoized; new evidence via Event
-// or Merge invalidates it. Results-stage callers (Finish, SpuriousLocks,
-// the pipeline's LockBindings) therefore share one sort.
+// Bindings returns the candidate (v, l) instances — the pairs with at
+// least one example, i.e. v accessed while l held — ranked by z, ties in
+// vlLess order. The ranking is memoized; new evidence via Event or Merge
+// invalidates it. Results-stage callers (Finish, SpuriousLocks, the
+// pipeline's LockBindings) therefore share one sort.
 func (c *Checker) Bindings() []Binding {
 	if c.bindings != nil {
 		return c.bindings
 	}
-	out := make([]Binding, 0, len(c.accesses)*len(c.lockList))
-	for v, n := range c.accesses {
-		for _, l := range c.lockList {
-			cnt := stats.Counter{Checks: n, Errors: n - c.heldAt[vl{v, l}]}
-			out = append(out, Binding{
-				Var: v, Lock: l, Counter: cnt, Z: cnt.Z(c.p0), Must: c.must[vl{v, l}],
-			})
-		}
+	out := make([]Binding, 0, len(c.heldAt))
+	for k, held := range c.heldAt {
+		n := c.accesses[k.v]
+		cnt := stats.Counter{Checks: n, Errors: n - held}
+		out = append(out, Binding{
+			Var: k.v, Lock: k.l, Counter: cnt, Z: cnt.Z(c.p0), Must: c.must[k],
+		})
 	}
 	slices.SortFunc(out, func(a, b Binding) int {
 		if a.Z != b.Z {
@@ -648,9 +643,10 @@ func (c *Checker) Counter(v, l string) stats.Counter {
 	return stats.Counter{Checks: n, Errors: n - c.heldAt[vl{v, l}]}
 }
 
-// SpuriousLocks returns locks for which no variable reaches minZ: either
-// the analysis misunderstands the lock binding or the program has a
-// serious error set (the non-spurious principle, §5).
+// SpuriousLocks returns locks for which no variable reaches minZ — in
+// particular every lock never held around a shared access, which has no
+// binding at all: either the analysis misunderstands the lock binding or
+// the program has a serious error set (the non-spurious principle, §5).
 func (c *Checker) SpuriousLocks(minZ float64) []string {
 	best := make(map[string]float64)
 	for l := range c.locks {
@@ -674,17 +670,18 @@ func (c *Checker) SpuriousLocks(minZ float64) []string {
 // Finish emits ranked error reports: every unprotected access of v for a
 // plausible (v, l) binding. Promoted MUST pairs report as definite errors.
 func (c *Checker) Finish(col *report.Collector) {
-	// Reportable bindings: errors exist and the belief is plausible —
-	// implausible beliefs (never held while used) are coincidences, not
-	// protection protocols. Index them by variable first so one pass
-	// over the site log, in event order, distributes every binding's
-	// first maxSitesPerPair unprotected accesses.
+	// Reportable bindings: errors exist. Every binding is plausible —
+	// pairs never held while used are coincidences, not protection
+	// protocols, and Bindings never enumerates them. Index them by
+	// variable first so one pass over the site log, in event order,
+	// distributes every binding's first maxSitesPerPair unprotected
+	// accesses.
 	bindings := c.Bindings()
 	byVar := make(map[string][]int)
 	nRep := 0
 	for i := range bindings {
 		b := &bindings[i]
-		if b.Errors == 0 || b.Examples() == 0 {
+		if b.Errors == 0 {
 			continue
 		}
 		byVar[b.Var] = append(byVar[b.Var], i)
@@ -703,7 +700,7 @@ func (c *Checker) Finish(col *report.Collector) {
 	}
 	for i := range bindings {
 		b := &bindings[i]
-		if b.Errors == 0 || b.Examples() == 0 {
+		if b.Errors == 0 {
 			continue
 		}
 		rule := fmt.Sprintf("variable %s must be protected by lock %s", b.Var, b.Lock)

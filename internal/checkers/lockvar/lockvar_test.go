@@ -1,16 +1,22 @@
 package lockvar
 
 import (
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"deviant/internal/cast"
 	"deviant/internal/cfg"
+	"deviant/internal/corpus"
 	"deviant/internal/cparse"
+	"deviant/internal/cpp"
 	"deviant/internal/csem"
 	"deviant/internal/engine"
 	"deviant/internal/latent"
 	"deviant/internal/report"
+	"deviant/internal/stats"
 )
 
 // figure1 is the paper's contrived lock example (Figure 1), verbatim in
@@ -44,7 +50,30 @@ func run(t *testing.T, src string) (*Checker, *report.Collector) {
 	if len(errs) != 0 {
 		t.Fatalf("parse: %v", errs)
 	}
-	prog := csem.Analyze([]*cast.File{f})
+	return runFiles([]*cast.File{f})
+}
+
+// runTree preprocesses and parses every translation unit of a generated
+// tree, then runs the checker over the whole program.
+func runTree(t *testing.T, c *corpus.Corpus) (*Checker, *report.Collector) {
+	t.Helper()
+	files := make([]*cast.File, 0, len(c.Units))
+	for _, u := range c.Units {
+		toks, err := cpp.New(cpp.MapFS(c.Files), "include").ProcessBytes(u, []byte(c.Files[u]))
+		if err != nil {
+			t.Fatalf("preprocess %s: %v", u, err)
+		}
+		f, errs := cparse.ParseFile(u, toks)
+		if len(errs) != 0 {
+			t.Fatalf("parse %s: %v", u, errs)
+		}
+		files = append(files, f)
+	}
+	return runFiles(files)
+}
+
+func runFiles(files []*cast.File) (*Checker, *report.Collector) {
+	prog := csem.Analyze(files)
 	conv := latent.Default()
 	c := New(prog, conv)
 	col := report.NewCollector()
@@ -255,9 +284,12 @@ void g(void) {
 }
 
 func TestSpuriousLocks(t *testing.T) {
+	// dead guards an empty section; quiet guards only a local. Neither
+	// is ever held around a shared access, so neither has a binding —
+	// and a lock with no binding is spurious.
 	src := `
 typedef int lock_t;
-lock_t l, dead;
+lock_t l, dead, quiet;
 int v;
 void f(void) {
 	lock(l);
@@ -266,20 +298,73 @@ void f(void) {
 	lock(dead);
 	unlock(dead);
 }
+int g(int n) {
+	int tmp;
+	lock(quiet);
+	tmp = n * 2;
+	unlock(quiet);
+	return tmp;
+}
 `
 	c, _ := run(t, src)
 	spurious := c.SpuriousLocks(0)
-	found := false
-	for _, s := range spurious {
-		if s == "dead" {
-			found = true
-		}
-		if s == "l" {
-			t.Errorf("l protects v, not spurious: %v", spurious)
+	if !slices.Equal(spurious, []string{"dead", "quiet"}) {
+		t.Errorf("spurious = %v, want [dead quiet]: l protects v, dead and quiet protect nothing shared", spurious)
+	}
+	for _, b := range c.Bindings() {
+		if b.Lock != "l" {
+			t.Errorf("binding for a lock never held around shared data: %+v", b)
 		}
 	}
-	if !found {
-		t.Errorf("dead protects nothing: %v", spurious)
+}
+
+// denseBindings is the reference enumeration: every accessed variable
+// against every lock of the universe, filtered to the pairs with an
+// example, in Bindings' order (z descending, ties in vlLess order).
+func denseBindings(c *Checker) (filtered []Binding, all int) {
+	locks := make([]string, 0, len(c.locks))
+	for l := range c.locks {
+		locks = append(locks, l)
+	}
+	sort.Strings(locks)
+	for v, n := range c.accesses {
+		for _, l := range locks {
+			all++
+			cnt := stats.Counter{Checks: n, Errors: n - c.heldAt[vl{v, l}]}
+			if cnt.Examples() == 0 {
+				continue
+			}
+			filtered = append(filtered, Binding{Var: v, Lock: l, Counter: cnt,
+				Z: cnt.Z(c.p0), Must: c.must[vl{v, l}]})
+		}
+	}
+	sort.Slice(filtered, func(i, j int) bool {
+		a, b := filtered[i], filtered[j]
+		if a.Z != b.Z {
+			return a.Z > b.Z
+		}
+		return vlLess(vl{a.Var, a.Lock}, vl{b.Var, b.Lock})
+	})
+	return filtered, all
+}
+
+// TestBindingsMatchDenseReference pins the sparse enumeration against
+// the full variable × lock cross product filtered to evidence-bearing
+// pairs: same pairs, counters, z, Must flags and order.
+func TestBindingsMatchDenseReference(t *testing.T) {
+	fig, _ := run(t, figure1)
+	tree, _ := runTree(t, corpus.Generate(corpus.Linux247()))
+	for name, c := range map[string]*Checker{"figure1": fig, "linux247": tree} {
+		want, all := denseBindings(c)
+		got := c.Bindings()
+		if len(want) == 0 {
+			t.Fatalf("%s: reference has no bindings", name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: sparse bindings differ from the dense reference\ngot  %d: %+v\nwant %d: %+v",
+				name, len(got), got, len(want), want)
+		}
+		t.Logf("%s: %d bindings of %d candidate pairs", name, len(got), all)
 	}
 }
 

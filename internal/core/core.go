@@ -240,17 +240,18 @@ type Result struct {
 }
 
 // Timing records where a run spent its time, stage by stage. Frontend,
-// Semantic, CFG, Total and the Checkers entries are wall clock;
-// Preprocess and Parse are summed across translation units, so under a
-// parallel frontend they add up to more than Frontend — the ratio is the
-// frontend's effective parallelism.
+// Semantic, CFG, Total and the Checkers and Derive entries are wall
+// clock; Preprocess and Parse are summed across translation units, so
+// under a parallel frontend they add up to more than Frontend — the ratio
+// is the frontend's effective parallelism.
 type Timing struct {
-	Preprocess time.Duration // preprocessing, summed over units
-	Parse      time.Duration // parsing, summed over units
-	Frontend   time.Duration // wall clock of the whole frontend stage
-	Semantic   time.Duration // semantic indexing (serial)
-	CFG        time.Duration // CFG construction
-	Checkers   map[string]time.Duration
+	Preprocess time.Duration            // preprocessing, summed over units
+	Parse      time.Duration            // parsing, summed over units
+	Frontend   time.Duration            // wall clock of the whole frontend stage
+	Semantic   time.Duration            // semantic indexing (serial)
+	CFG        time.Duration            // CFG construction
+	Checkers   map[string]time.Duration // per checker: traversal only
+	Derive     map[string]time.Duration // per deriving checker: rule derivation (Finish)
 	Total      time.Duration
 
 	// TokenCacheHits / TokenCacheMisses count this run's shared
@@ -273,16 +274,29 @@ func (t Timing) String() string {
 	}
 	fmt.Fprintf(&b, "%-12s %12s\n", "semantic", t.Semantic.Round(time.Microsecond))
 	fmt.Fprintf(&b, "%-12s %12s\n", "cfg", t.CFG.Round(time.Microsecond))
-	names := make([]string, 0, len(t.Checkers))
-	for n := range t.Checkers {
+	writeStageRows(&b, t.Checkers)
+	if len(t.Derive) > 0 {
+		var sum time.Duration
+		for _, d := range t.Derive {
+			sum += d
+		}
+		fmt.Fprintf(&b, "%-12s %12s  (rule derivation, per checker)\n", "derive", sum.Round(time.Microsecond))
+		writeStageRows(&b, t.Derive)
+	}
+	fmt.Fprintf(&b, "%-12s %12s\n", "total", t.Total.Round(time.Microsecond))
+	return b.String()
+}
+
+// writeStageRows renders one indented row per name, sorted.
+func writeStageRows(b *strings.Builder, m map[string]time.Duration) {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		fmt.Fprintf(&b, "%-12s %12s\n", "  "+n, t.Checkers[n].Round(time.Microsecond))
+		fmt.Fprintf(b, "%-12s %12s\n", "  "+n, m[n].Round(time.Microsecond))
 	}
-	fmt.Fprintf(&b, "%-12s %12s\n", "total", t.Total.Round(time.Microsecond))
-	return b.String()
 }
 
 // Analyzer runs the pipeline over a file provider.
@@ -508,27 +522,30 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 	}
 	spans := chunkSpans(len(checkNames), workers)
 
-	// checkerSpan/deriveSpan trace one checker's traversal and its rule
-	// derivation. Forked (own lane): the program-level checkers run
-	// concurrently with each other.
+	// checkerSpan traces one checker's traversal. Forked (own lane): the
+	// program-level checkers run concurrently with each other.
 	checkerSpan := func(name string) *obs.Span {
 		if tr == nil {
 			return nil
 		}
 		return root.Fork("checker", obs.A("checker", name))
 	}
-	deriveSpan := func(name string) *obs.Span {
-		if tr == nil {
-			return nil
-		}
-		return root.Fork("derive", obs.A("checker", name))
-	}
 
-	// contain runs one serial derivation step (Finish/Ranked) under
-	// panic isolation: a panic quarantines the checker's derived output
-	// instead of the run.
-	contain := func(stage string, f func()) {
-		defer qc.recoverInto(stage, "*", nil)
+	// derive runs one checker's serial rule derivation (Finish/Ranked)
+	// under a derive span, timed into Timing.Derive, and under panic
+	// isolation: a panic quarantines the checker's derived output instead
+	// of the run.
+	derive := func(name string, f func()) {
+		t := time.Now()
+		var dsp *obs.Span
+		if tr != nil {
+			dsp = root.Fork("derive", obs.A("checker", name))
+		}
+		defer func() {
+			dsp.End()
+			res.Timing.Derive[name] = time.Since(t)
+		}()
+		defer qc.recoverInto("checker:"+name, "*", nil)
 		f()
 	}
 
@@ -616,9 +633,7 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 		runEngine(ch.Name(),
 			func() engine.Checker { return ch.Fork() },
 			func(w engine.Checker) { ch.Merge(w.(*null.Checker)) })
-		dsp := deriveSpan(ch.Name())
-		contain("checker:"+ch.Name(), func() { ch.Finish(res.Reports) })
-		dsp.End()
+		derive(ch.Name(), func() { ch.Finish(res.Reports) })
 	}
 	if a.opts.Checks.Free {
 		ch := freecheck.New(a.conv)
@@ -686,12 +701,10 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 		runEngine(ch.Name(),
 			func() engine.Checker { return ch.Fork() },
 			func(w engine.Checker) { ch.Merge(w.(*iserr.Checker)) })
-		dsp := deriveSpan(ch.Name())
-		contain("checker:"+ch.Name(), func() {
+		derive(ch.Name(), func() {
 			ch.Finish(res.Reports)
 			res.IsErrFuncs = ch.Ranked()
 		})
-		dsp.End()
 	}
 	if a.opts.Checks.Fail {
 		ch := fail.New(a.conv)
@@ -699,13 +712,11 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 		runEngine(ch.Name(),
 			func() engine.Checker { return ch.Fork() },
 			func(w engine.Checker) { ch.Merge(w.(*fail.Checker)) })
-		dsp := deriveSpan(ch.Name())
-		contain("checker:"+ch.Name(), func() {
+		derive(ch.Name(), func() {
 			ch.Finish(res.Reports)
 			res.CanFail = ch.Ranked()
 			res.CanFailNever = ch.InverseRanked()
 		})
-		dsp.End()
 	}
 	if a.opts.Checks.LockVar {
 		ch := lockvar.New(res.Prog, a.conv)
@@ -713,12 +724,10 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 		runEngine(ch.Name(),
 			func() engine.Checker { return ch.Fork() },
 			func(w engine.Checker) { ch.Merge(w.(*lockvar.Checker)) })
-		dsp := deriveSpan(ch.Name())
-		contain("checker:"+ch.Name(), func() {
+		derive(ch.Name(), func() {
 			ch.Finish(res.Reports)
 			res.LockBindings = ch.Bindings()
 		})
-		dsp.End()
 	}
 	if a.opts.Checks.Pairing {
 		if deadlinePassed() {
@@ -743,12 +752,10 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 				ch.Merge(f)
 			}
 			sp.End()
-			dsp := deriveSpan("pairing")
-			contain("checker:pairing", func() {
+			res.Timing.Checkers["pairing"] = time.Since(t)
+			derive("pairing", func() {
 				res.Pairs = ch.Finish(res.Reports, a.opts.P0, a.opts.MinPairExamples, a.opts.MinPairScore)
 			})
-			dsp.End()
-			res.Timing.Checkers["pairing"] = time.Since(t)
 		}
 	}
 	if a.opts.Checks.Intr {
@@ -757,12 +764,10 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 		runEngine(ch.Name(),
 			func() engine.Checker { return ch.Fork() },
 			func(w engine.Checker) { ch.Merge(w.(*intr.Checker)) })
-		dsp := deriveSpan(ch.Name())
-		contain("checker:"+ch.Name(), func() {
+		derive(ch.Name(), func() {
 			ch.Finish(res.Reports)
 			res.IntrFuncs = ch.Ranked()
 		})
-		dsp.End()
 	}
 	if a.opts.Checks.SecCheck {
 		ch := seccheck.New(nil)
@@ -770,12 +775,10 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 		runEngine(ch.Name(),
 			func() engine.Checker { return ch.Fork() },
 			func(w engine.Checker) { ch.Merge(w.(*seccheck.Checker)) })
-		dsp := deriveSpan(ch.Name())
-		contain("checker:"+ch.Name(), func() {
+		derive(ch.Name(), func() {
 			ch.Finish(res.Reports)
 			res.SecChecks = ch.Ranked()
 		})
-		dsp.End()
 	}
 	if a.opts.Checks.Reverse {
 		if deadlinePassed() {
@@ -800,12 +803,10 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 				ch.Merge(f)
 			}
 			sp.End()
-			dsp := deriveSpan("reverse")
-			contain("checker:reverse", func() {
+			res.Timing.Checkers["reverse"] = time.Since(t)
+			derive("reverse", func() {
 				res.Reversals = ch.Finish(res.Reports, a.opts.P0, a.opts.MinPairExamples, a.opts.MinPairScore)
 			})
-			dsp.End()
-			res.Timing.Checkers["reverse"] = time.Since(t)
 		}
 	}
 	res.Timing.Total = time.Since(start)

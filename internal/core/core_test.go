@@ -3,6 +3,8 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -183,4 +185,46 @@ func writeFile(t *testing.T, path, content string) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestTimingDeriveEntries pins that every enabled deriving checker gets
+// its own Timing.Derive entry, that non-deriving checkers get none, and
+// that a subset run times only what it derives.
+func TestTimingDeriveEntries(t *testing.T) {
+	src := `
+#include "kernel.h"
+void f(struct s *p) {
+	if (p == NULL)
+		printk("%d\n", p->x);
+}
+`
+	deriving := []string{"fail", "intr", "iserr", "lockvar", "null", "pairing", "reverse", "seccheck"}
+	res := analyzeSrc(t, src, DefaultOptions())
+	if got := mapKeys(res.Timing.Derive); !slices.Equal(got, deriving) {
+		t.Errorf("Derive entries %v, want %v", got, deriving)
+	}
+	for _, name := range deriving {
+		if _, ok := res.Timing.Checkers[name]; !ok {
+			t.Errorf("%s: derive timed but traversal missing from Checkers", name)
+		}
+	}
+	if out := res.Timing.String(); !strings.Contains(out, "derive") || !strings.Contains(out, "  lockvar") {
+		t.Errorf("Timing.String() missing derive rows:\n%s", out)
+	}
+
+	opts := DefaultOptions()
+	opts.Checks = Checks{LockVar: true, Free: true, Pairing: true}
+	res = analyzeSrc(t, src, opts)
+	if got := mapKeys(res.Timing.Derive); !slices.Equal(got, []string{"lockvar", "pairing"}) {
+		t.Errorf("subset Derive entries %v, want [lockvar pairing]", got)
+	}
+}
+
+func mapKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

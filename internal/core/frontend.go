@@ -23,7 +23,7 @@ func newResult() *Result {
 	return &Result{
 		Reports:     report.NewCollector(),
 		EngineStats: make(map[string]engine.RunStats),
-		Timing:      Timing{Checkers: make(map[string]time.Duration)},
+		Timing:      Timing{Checkers: make(map[string]time.Duration), Derive: make(map[string]time.Duration)},
 	}
 }
 

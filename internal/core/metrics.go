@@ -11,6 +11,7 @@ import (
 const (
 	MetricStageSeconds    = "deviant_stage_seconds_total"
 	MetricCheckerSeconds  = "deviant_checker_seconds_total"
+	MetricDeriveSeconds   = "deviant_derive_seconds_total"
 	MetricCheckerReports  = "deviant_checker_reports_total"
 	MetricCheckerVisits   = "deviant_checker_visits_total"
 	MetricCheckerMemoHits = "deviant_checker_memo_hits_total"
@@ -66,12 +67,16 @@ func (r *Result) RecordMetrics(reg *obs.Registry) {
 			obs.L("stage", s.name)).Add(s.sec)
 	}
 	for name, d := range r.Timing.Checkers {
-		reg.Counter(MetricCheckerSeconds, "Wall-clock seconds per checker.",
+		reg.Counter(MetricCheckerSeconds, "Wall-clock seconds per checker traversal.",
 			obs.L("checker", name)).Add(d.Seconds())
 		// Create the reports row eagerly so a checker that found nothing
 		// still shows a zero instead of a missing series.
 		reg.Counter(MetricCheckerReports, "Ranked reports emitted per checker.",
 			obs.L("checker", name)).Add(0)
+	}
+	for name, d := range r.Timing.Derive {
+		reg.Counter(MetricDeriveSeconds, "Wall-clock seconds per checker rule derivation.",
+			obs.L("checker", name)).Add(d.Seconds())
 	}
 	for name, st := range r.EngineStats {
 		reg.Counter(MetricCheckerVisits, "CFG block visits performed per checker.",

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -214,6 +215,8 @@ func TestJobRecoveryRerunsInterruptedJobs(t *testing.T) {
 	if st.ID != "job-8" {
 		t.Fatalf("id sequence did not continue past recovery: got %s, want job-8", st.ID)
 	}
+	// Let job-8 settle before the job dir is removed under it.
+	waitJob(t, s, st.ID)
 }
 
 // TestJobRecoveryTerminalStates pins that failed and canceled jobs keep
@@ -268,5 +271,63 @@ func TestJobLogEvictionRemovesFiles(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, second.ID+jobSuffix)); err != nil {
 		t.Fatalf("retained job's log entry missing: %v", err)
+	}
+}
+
+// TestJobRecoveryReplaysInIDOrder pins the replay contract: recovered
+// queued/running jobs re-run one at a time in id order — not tenant
+// round-robin — and a job submitted after the restart waits for the
+// whole replay. One at a time shows in the results: only the first
+// replayed job parses the tree; every later run finds it in the store.
+func TestJobRecoveryReplaysInIDOrder(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _, err := openJobLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := AnalyzeRequest{Sources: svcSources()}
+	for _, e := range []jobEntry{
+		{ID: "job-5", Tenant: "beta", State: JobRunning, Req: req},
+		{ID: "job-2", Tenant: "acme", State: JobQueued, Req: req},
+		{ID: "job-3", Tenant: "acme", State: JobQueued, Req: req},
+	} {
+		if err := l.write(&e); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var journal lockedBuffer
+	s := New(Config{JobDir: dir, JournalWriter: &journal})
+	fresh, rr := submitJob(t, s, "gamma", svcSources())
+	if rr.Code != http.StatusAccepted {
+		t.Fatalf("submit: %d: %s", rr.Code, rr.Body.Bytes())
+	}
+	ids := []string{"job-2", "job-3", "job-5", fresh.ID}
+	for i, id := range ids {
+		if got := waitJob(t, s, id); got.State != JobDone {
+			t.Fatalf("%s ended %+v, want done", id, got)
+		}
+		var resp AnalyzeResponse
+		getJSON(t, s, "/v1/jobs/"+id+"/result", &resp)
+		if cold := resp.Snapshot.UnitsParsed == 3; cold != (i == 0) {
+			t.Errorf("%s: snapshot %+v; only the first replayed job may run cold", id, resp.Snapshot)
+		}
+	}
+
+	var starts []string
+	for _, line := range strings.Split(strings.TrimSpace(journal.String()), "\n") {
+		var ev struct {
+			Run   string `json:"run"`
+			Event string `json:"event"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("journal line not JSON: %s", line)
+		}
+		if ev.Event == "job_start" {
+			starts = append(starts, ev.Run)
+		}
+	}
+	if strings.Join(starts, ",") != strings.Join(ids, ",") {
+		t.Fatalf("jobs started in order %v, want %v", starts, ids)
 	}
 }

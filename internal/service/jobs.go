@@ -62,6 +62,7 @@ type job struct {
 	errMsg   string
 	respRaw  []byte             // encoded result body, exactly as served
 	canceled bool               // cancel requested (may still be running)
+	ending   string             // terminal state being persisted, then published
 	cancel   context.CancelFunc // non-nil while running
 	journal  *obs.Journal       // keyed by job id, shared across lifecycle
 	done     chan struct{}      // closed when the job reaches a terminal state
@@ -80,6 +81,7 @@ type jobManager struct {
 	jobs     map[string]*job
 	order    []string          // submission order, for bounded retention
 	queues   map[string][]*job // per-tenant FIFO of queued jobs
+	replay   []*job            // recovered jobs, id order; head runs before any queue
 	ring     []string          // tenants with queued work, round-robin
 	next     int               // ring cursor
 	queued   int               // jobs waiting across all tenants
@@ -96,8 +98,9 @@ type jobManager struct {
 // newJobManager builds the manager and replays the job log's surviving
 // entries before any worker starts: terminal jobs keep serving their
 // persisted bytes, and jobs that were queued or running at crash time
-// re-enter the queue — accepted work is promised work, so admission
-// quotas do not apply to work that was already admitted once.
+// re-run first, one at a time in id order, before any new submission is
+// scheduled — a log replays in order. Accepted work is promised work, so
+// admission quotas do not apply to work that was already admitted once.
 func newJobManager(s *Server, recovered []jobEntry) *jobManager {
 	m := &jobManager{
 		s:      s,
@@ -136,10 +139,7 @@ func newJobManager(s *Server, recovered []jobEntry) *jobManager {
 			close(j.done)
 		default: // queued or running at crash time: re-run from the log
 			j.state = JobQueued
-			if _, ok := m.queues[j.tenant]; !ok {
-				m.ring = append(m.ring, j.tenant)
-			}
-			m.queues[j.tenant] = append(m.queues[j.tenant], j)
+			m.replay = append(m.replay, j)
 			m.queued++
 			m.active[j.tenant]++
 			journal.Event("job_recovered",
@@ -286,19 +286,28 @@ func (m *jobManager) pop() *job {
 }
 
 func (m *jobManager) dequeueLocked() *job {
-	if len(m.ring) == 0 {
+	var j *job
+	switch {
+	case len(m.replay) > 0:
+		// The replay head stays in place until its run settles, so
+		// recovered jobs run strictly one after another.
+		if j = m.replay[0]; j.state != JobQueued {
+			return nil
+		}
+	case len(m.ring) > 0:
+		m.next %= len(m.ring)
+		tenant := m.ring[m.next]
+		q := m.queues[tenant]
+		j = q[0]
+		if len(q) == 1 {
+			delete(m.queues, tenant)
+			m.ring = append(m.ring[:m.next], m.ring[m.next+1:]...)
+		} else {
+			m.queues[tenant] = q[1:]
+			m.next++
+		}
+	default:
 		return nil
-	}
-	m.next %= len(m.ring)
-	tenant := m.ring[m.next]
-	q := m.queues[tenant]
-	j := q[0]
-	if len(q) == 1 {
-		delete(m.queues, tenant)
-		m.ring = append(m.ring[:m.next], m.ring[m.next+1:]...)
-	} else {
-		m.queues[tenant] = q[1:]
-		m.next++
 	}
 	m.queued--
 	m.running++
@@ -359,11 +368,7 @@ func (m *jobManager) run(j *job) {
 			errMsg = msg
 		} else {
 			res := v.(*deviant.Result)
-			res.RecordMetrics(s.reg)
-			s.mu.Lock()
-			s.analyses++
-			s.lastRules = &RulesResponse{Analysis: s.analyses, Rules: rulesFrom(res)}
-			s.mu.Unlock()
+			s.recordRun(res)
 			r := render(res, countUnits(j.req.Sources), j.req.Options)
 			resp = &r
 			j.journal.Event("rank",
@@ -388,32 +393,60 @@ func (m *jobManager) run(j *job) {
 	}
 
 	m.mu.Lock()
-	m.running--
-	m.active[j.tenant]--
 	j.cancel = nil
+	state := JobDone
 	switch {
 	case j.canceled:
-		j.state = JobCanceled
-		s.jobsCanceled.Inc()
+		state, errMsg, respRaw = JobCanceled, "", nil
 	case errMsg != "":
-		j.state, j.errMsg = JobFailed, errMsg
-		s.jobsFailed.Inc()
-	default:
-		j.state, j.respRaw = JobDone, respRaw
-		s.jobsCompleted.Inc()
+		state = JobFailed
 	}
-	state := j.state
-	e = m.entryLocked(j)
-	close(j.done)
+	m.settleLocked(j, state, errMsg, respRaw)
+	m.running--
+	if len(m.replay) > 0 && m.replay[0] == j {
+		m.replay = m.replay[1:]
+	}
+	if m.queued > 0 {
+		m.signal() // a worker may be parked behind the replay head
+	}
 	m.mu.Unlock()
-	m.persist(e)
 	j.journal.Event("job_end", obs.A("state", state))
 }
 
-// cancelJob cancels a job. A queued job is removed from its tenant's
-// queue and terminal immediately; a running one is flagged and its
-// context canceled — the worker marks it canceled when it gets control
-// back. Terminal jobs answer 409: there is nothing left to cancel.
+// settleLocked moves j to a terminal state: the log entry is persisted
+// first and only then is the state published and done closed, so a job
+// any reader has seen terminal is terminal after a crash too, and a
+// history eviction that follows publication cannot be undone by a late
+// write. The lock is dropped across the fsync; j.ending marks that
+// window so a concurrent cancel treats the outcome as decided. Caller
+// holds the lock and holds it again on return.
+func (m *jobManager) settleLocked(j *job, state, errMsg string, respRaw []byte) {
+	j.ending = state
+	e := m.entryLocked(j)
+	if e != nil {
+		e.State, e.ErrMsg, e.Resp = state, errMsg, respRaw
+	}
+	m.mu.Unlock()
+	m.persist(e)
+	m.mu.Lock()
+	j.state, j.errMsg, j.respRaw = state, errMsg, respRaw
+	m.active[j.tenant]--
+	switch state {
+	case JobDone:
+		m.s.jobsCompleted.Inc()
+	case JobFailed:
+		m.s.jobsFailed.Inc()
+	default:
+		m.s.jobsCanceled.Inc()
+	}
+	close(j.done)
+}
+
+// cancelJob cancels a job. A queued job leaves its queue and is terminal
+// as soon as its canceled entry is written; a running one is flagged and
+// its context canceled — the worker marks it canceled when it gets
+// control back. Terminal jobs, and jobs whose terminal entry is being
+// written, answer 409: there is nothing left to cancel.
 func (m *jobManager) cancelJob(id string) (JobStatus, int, string) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -421,40 +454,40 @@ func (m *jobManager) cancelJob(id string) (JobStatus, int, string) {
 		m.mu.Unlock()
 		return JobStatus{}, http.StatusNotFound, "no such job " + id
 	}
-	var e *jobEntry
-	switch j.state {
-	case JobQueued:
-		m.removeQueuedLocked(j)
-		j.state = JobCanceled
-		j.canceled = true
-		m.queued--
-		m.active[j.tenant]--
-		m.s.jobsCanceled.Inc()
-		e = m.entryLocked(j)
-		close(j.done)
-	case JobRunning:
-		j.canceled = true
-		if j.cancel != nil {
-			j.cancel()
-		}
-	default:
+	if terminal(j.state) || j.ending != "" {
+		// Terminal, or its terminal entry is being written: decided.
 		st := j.statusLocked()
+		if j.ending != "" {
+			st.State = j.ending
+		}
 		m.mu.Unlock()
 		return st, http.StatusConflict, "job " + id + " already " + st.State
 	}
-	st := j.statusLocked()
-	if st.State == JobRunning {
-		st.State = JobCanceled // the client's view: this job will not publish
+	j.canceled = true
+	if j.state == JobQueued {
+		m.removeQueuedLocked(j)
+		m.settleLocked(j, JobCanceled, "", nil)
+		m.queued-- // after the write, so a drain waits for it
+	} else if j.cancel != nil {
+		j.cancel()
 	}
+	st := j.statusLocked()
+	st.State = JobCanceled // the client's view: this job will not publish
 	m.mu.Unlock()
-	m.persist(e)
 	j.journal.Event("job_cancel", obs.A("tenant", j.tenant))
 	return st, 0, ""
 }
 
-// removeQueuedLocked unlinks a queued job from its tenant FIFO and, when
-// that empties the queue, retires the tenant from the scheduling ring.
+// removeQueuedLocked unlinks a queued job from the replay list or its
+// tenant FIFO and, when that empties the FIFO, retires the tenant from
+// the scheduling ring.
 func (m *jobManager) removeQueuedLocked(j *job) {
+	for i := range m.replay {
+		if m.replay[i] == j {
+			m.replay = append(m.replay[:i], m.replay[i+1:]...)
+			return
+		}
+	}
 	q := m.queues[j.tenant]
 	for i := range q {
 		if q[i] == j {

@@ -62,6 +62,9 @@ import (
 	"time"
 
 	"deviant"
+	"deviant/internal/checkers/fail"
+	"deviant/internal/checkers/lockvar"
+	"deviant/internal/checkers/pairing"
 	"deviant/internal/dist"
 	"deviant/internal/fault"
 	"deviant/internal/obs"
@@ -202,9 +205,19 @@ type Server struct {
 	jobsFailed    *obs.Counter
 	jobsCanceled  *obs.Counter
 
-	mu        sync.Mutex
-	lastRules *RulesResponse
-	analyses  int64 // completed analyze requests, ids /v1/rules snapshots
+	mu       sync.Mutex
+	analyses int64   // completed analyses (sync and job), ids /v1/rules snapshots
+	last     lastRun // the latest analysis's derived rule lists
+}
+
+// lastRun keeps the rule lists of the most recent analysis for
+// GET /v1/rules, which flattens them only when asked: the lists are
+// shared with the finished Result, so recording a run copies nothing.
+type lastRun struct {
+	analysis     int64
+	pairs        []pairing.Pair
+	canFail      []fail.Derived
+	lockBindings []lockvar.Binding
 }
 
 // New returns a ready-to-serve Server.
@@ -782,19 +795,32 @@ func countUnits(sources map[string]string) int {
 	return n
 }
 
-// rulesFrom flattens a result's derived rule instances, each kind in its
-// own ranked order.
-func rulesFrom(res *deviant.Result) []JSONRule {
-	rules := []JSONRule{}
-	for _, p := range res.Pairs {
+// recordRun folds a finished analysis into the server's state — the
+// one place the sync /v1/analyze path and the job workers both go
+// through: metrics, the analysis counter, and the rule lists
+// GET /v1/rules serves.
+func (s *Server) recordRun(res *deviant.Result) {
+	res.RecordMetrics(s.reg)
+	s.mu.Lock()
+	s.analyses++
+	s.last = lastRun{analysis: s.analyses, pairs: res.Pairs,
+		canFail: res.CanFail, lockBindings: res.LockBindings}
+	s.mu.Unlock()
+}
+
+// rules flattens the derived rule instances, each kind in its own
+// ranked order.
+func (r *lastRun) rules() []JSONRule {
+	rules := make([]JSONRule, 0, len(r.pairs)+len(r.canFail)+len(r.lockBindings))
+	for _, p := range r.pairs {
 		rules = append(rules, JSONRule{Kind: "pair", A: p.A, B: p.B,
 			Checks: p.Checks, Examples: p.Examples(), Z: p.Z})
 	}
-	for _, d := range res.CanFail {
+	for _, d := range r.canFail {
 		rules = append(rules, JSONRule{Kind: "can-fail", A: d.Func,
 			Checks: d.Checks, Examples: d.Examples(), Z: d.Z})
 	}
-	for _, b := range res.LockBindings {
+	for _, b := range r.lockBindings {
 		rules = append(rules, JSONRule{Kind: "lock", A: b.Lock, B: b.Var,
 			Checks: b.Checks, Examples: b.Examples(), Z: b.Z})
 	}
@@ -869,11 +895,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := v.(*deviant.Result)
-	res.RecordMetrics(s.reg)
-	s.mu.Lock()
-	s.analyses++
-	s.lastRules = &RulesResponse{Analysis: s.analyses, Rules: rulesFrom(res)}
-	s.mu.Unlock()
+	s.recordRun(res)
 	resp := render(res, countUnits(req.Sources), req.Options)
 	if tr != nil {
 		resp.Trace = exportTrace(tr)
@@ -1013,15 +1035,13 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleRules builds the rules body from the last run's lists on
+// request; analyses never pay for a flattening nobody reads.
 func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	resp := s.lastRules
+	last := s.last
 	s.mu.Unlock()
-	if resp == nil {
-		writeJSON(w, http.StatusOK, RulesResponse{Rules: []JSONRule{}})
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, RulesResponse{Analysis: last.analysis, Rules: last.rules()})
 }
 
 // HealthResponse is the /healthz body: liveness plus the binary's build

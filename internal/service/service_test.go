@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"deviant"
 )
 
 const svcHeader = `
@@ -214,22 +216,43 @@ func TestDiffEndpoint(t *testing.T) {
 	}
 }
 
-func TestRulesEndpoint(t *testing.T) {
-	s := New(Config{})
-	rr, body := getPath(t, s, "/v1/rules")
-	if rr.Code != http.StatusOK {
-		t.Fatalf("rules: status %d", rr.Code)
-	}
-	var empty RulesResponse
-	if err := json.Unmarshal(body, &empty); err != nil {
-		t.Fatal(err)
-	}
-	if empty.Analysis != 0 || len(empty.Rules) != 0 {
-		t.Errorf("rules before any analysis: %+v", empty)
-	}
+// rulesSources adds shared state guarded by one lock to svcSources, plus
+// a second lock that guards nothing shared: most (variable, lock) pairs
+// of the tree have no example, so /v1/rules must leave them out.
+func rulesSources() map[string]string {
+	srcs := svcSources()
+	srcs["delta.c"] = `
+#include "kernel.h"
+struct lock delta_lock, delta_aux;
+int delta_count, delta_seen;
+void delta_inc(void) {
+	spin_lock(&delta_lock);
+	delta_count++;
+	spin_unlock(&delta_lock);
+}
+void delta_dec(void) {
+	spin_lock(&delta_lock);
+	delta_count--;
+	spin_unlock(&delta_lock);
+}
+void delta_peek(void) {
+	delta_seen = delta_count;
+}
+int delta_aux_op(int n) {
+	int t;
+	spin_lock(&delta_aux);
+	t = n + 1;
+	spin_unlock(&delta_aux);
+	return t;
+}
+`
+	return srcs
+}
 
-	analyze(t, s, svcSources())
-	rr, body = getPath(t, s, "/v1/rules")
+// getRules fetches and decodes GET /v1/rules.
+func getRules(t *testing.T, s *Server) RulesResponse {
+	t.Helper()
+	rr, body := getPath(t, s, "/v1/rules")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("rules: status %d", rr.Code)
 	}
@@ -237,21 +260,70 @@ func TestRulesEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Analysis != 1 {
-		t.Errorf("analysis id = %d, want 1", resp.Analysis)
+	return resp
+}
+
+// TestRulesEndpoint pins GET /v1/rules: it serves the latest analysis's
+// derived rules, whether a sync analyze or a job produced them — every
+// pair, can-fail and lock binding of that run and nothing else, so no
+// lock rule lacks an example.
+func TestRulesEndpoint(t *testing.T) {
+	s := New(Config{})
+	if empty := getRules(t, s); empty.Analysis != 0 || empty.Rules == nil || len(empty.Rules) != 0 {
+		t.Errorf("rules before any analysis: %+v", empty)
 	}
-	var canFail bool
-	for _, r := range resp.Rules {
-		if r.Kind == "can-fail" && r.A == "kmalloc" {
-			canFail = true
-			if r.Checks == 0 {
-				t.Errorf("can-fail kmalloc has no evidence: %+v", r)
+
+	srcs := rulesSources()
+	opts, err := s.buildOptions(RequestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Snapshot = nil
+	ref, err := deviant.Analyze(srcs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRules := len(ref.Pairs) + len(ref.CanFail) + len(ref.LockBindings)
+
+	check := func(resp RulesResponse, analysis int64) {
+		t.Helper()
+		if resp.Analysis != analysis {
+			t.Errorf("analysis id = %d, want %d", resp.Analysis, analysis)
+		}
+		if len(resp.Rules) != wantRules {
+			t.Errorf("%d rules, want pairs+can-fail+lock bindings = %d", len(resp.Rules), wantRules)
+		}
+		var canFail, lock bool
+		for _, r := range resp.Rules {
+			switch {
+			case r.Kind == "can-fail" && r.A == "kmalloc":
+				canFail = true
+				if r.Checks == 0 {
+					t.Errorf("can-fail kmalloc has no evidence: %+v", r)
+				}
+			case r.Kind == "lock":
+				lock = lock || (r.A == "delta_lock" && r.B == "delta_count")
+				if r.Examples == 0 {
+					t.Errorf("lock rule without an example: %+v", r)
+				}
 			}
 		}
+		if !canFail || !lock {
+			t.Errorf("derived rules missing can-fail kmalloc or delta_lock protects delta_count: %+v", resp.Rules)
+		}
 	}
-	if !canFail {
-		t.Errorf("derived rules missing can-fail kmalloc: %+v", resp.Rules)
+
+	analyze(t, s, srcs)
+	check(getRules(t, s), 1)
+
+	st, rr := submitJob(t, s, "acme", srcs)
+	if rr.Code != http.StatusAccepted {
+		t.Fatalf("submit: %d: %s", rr.Code, rr.Body.Bytes())
 	}
+	if got := waitJob(t, s, st.ID); got.State != JobDone {
+		t.Fatalf("job ended %+v, want done", got)
+	}
+	check(getRules(t, s), 2)
 }
 
 func TestBackpressure(t *testing.T) {
