@@ -29,15 +29,16 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkAnalyze(Serial|Parallel)$$' -benchtime=1x .
 
-# Pipeline + frontend benchmark snapshot, archived two ways: the current
-# numbers overwrite BENCH_obs.json, and a dated entry is APPENDED to
-# BENCH_trajectory.json so every PR's perf claim stays checkable against
-# history. One iteration each — enough to keep the benchmarks honest in
-# CI; run with BENCHTIME=5x (or more) for stable numbers.
+# Pipeline + frontend benchmark snapshot: a dated entry is APPENDED to
+# BENCH_trajectory.json, the one archive of these numbers, so every PR's
+# perf claim stays checkable against history (render it with
+# `go run ./cmd/benchtab -trajectory BENCH_trajectory.json`). One
+# iteration each — enough to keep the benchmarks honest in CI; run with
+# BENCHTIME=5x (or more) for stable numbers.
 BENCHTIME ?= 1x
 bench-json:
 	$(GO) test -run='^$$' -bench='^Benchmark(Analyze(Serial|Parallel|InstrumentedOff|InstrumentedOn|FleetTraceOff|FleetTraceOn)|Scanner|Preprocess|Parse|FleetScatter)$$' \
-		-benchtime=$(BENCHTIME) -benchmem . | $(GO) run ./cmd/benchjson -append BENCH_trajectory.json > BENCH_obs.json
+		-benchtime=$(BENCHTIME) -benchmem . | $(GO) run ./cmd/benchjson -append BENCH_trajectory.json > /dev/null
 
 # Allocation regression gate: fail if BenchmarkAnalyzeParallel allocates
 # more than 20% over the checked-in baseline (BENCH_baseline.json).

@@ -3,16 +3,22 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
+
+	"deviant"
+	"deviant/internal/dist"
 )
 
 // Two more units alongside smokeSrc so a fleet has something to shard:
@@ -428,5 +434,37 @@ func TestFleetFlagValidation(t *testing.T) {
 		if !strings.Contains(stderr.String(), tc.want) {
 			t.Errorf("%v: stderr %q missing %q", tc.args, stderr.String(), tc.want)
 		}
+	}
+}
+
+// TestFleetDialerOneRetryLayer pins the fleet's single retry owner: a
+// worker that always answers 503 with Retry-After (a draining deviantd)
+// costs exactly 1 + Retries shard calls, because the dialed clients do
+// not retry underneath the coordinator's transport.
+func TestFleetDialerOneRetryLayer(t *testing.T) {
+	var calls atomic.Int64
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, `{"error":"server is draining"}`, http.StatusServiceUnavailable)
+	}))
+	defer worker.Close()
+	d := newFleetDialer()
+	defer d.closeAll()
+	coord, err := dist.NewCoordinator(buildWorkers(d, []string{worker.URL}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const retries = 1 // the -shard-retries default
+	coord.SetTransport(dist.TransportConfig{Retries: retries})
+	res, err := coord.Run(context.Background(), fleetCorpus(), deviant.DefaultOptions(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 1+retries {
+		t.Fatalf("%d shard calls against a persistent 503, want %d", got, 1+retries)
+	}
+	if !res.Degraded {
+		t.Error("units of an unreachable worker were not quarantined")
 	}
 }

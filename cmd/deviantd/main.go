@@ -13,15 +13,18 @@
 //	-addr a       listen address (default :8477)
 //	-j N          worker-goroutine ceiling per request (0 = all CPUs);
 //	              requests may ask for fewer via options.workers
-//	-concurrent N analyses running at once (default 2)
+//	-concurrent N analyses running at once, sync requests and async jobs
+//	              alike (default 2)
 //	-queue N      requests allowed to wait beyond the running ones before
 //	              new ones get 429 (default 8)
-//	-timeout d    per-request queue-wait + analysis budget (default 60s)
+//	-timeout d    per-request budget: the wait for a run slot plus the
+//	              analysis (default 60s); a run that reaches it answers
+//	              with its partial result flagged degraded, and only a
+//	              request still waiting for a slot gets 504
 //	-job-queue N  async jobs allowed to wait across all tenants before
 //	              POST /v1/jobs answers 429 (default 16)
 //	-jobs-per-tenant N  one tenant's in-flight job cap, queued plus
 //	              running (default 4)
-//	-job-workers N  jobs executing concurrently (default -concurrent)
 //	-snapshot N   snapshot store capacity in translation units
 //	              (default 1024; higher = more reuse, more memory)
 //	-cache-dir d  persist snapshot artifacts under this directory so a
@@ -117,7 +120,9 @@ import (
 // fleetDialer caches one HTTP client per worker URL. Live membership
 // updates (SIGHUP, POST /v1/fleet/workers) reuse the cached client —
 // and its pooled connections — for retained workers, and drain releases
-// every socket the daemon ever dialed.
+// every socket the daemon ever dialed. The clients never retry: the
+// coordinator's shard transport (-shard-retries, -hedge) is the only
+// retry layer, so a failing worker costs 1 + -shard-retries attempts.
 type fleetDialer struct {
 	mu      sync.Mutex
 	clients map[string]*client.Client
@@ -132,7 +137,7 @@ func (d *fleetDialer) dial(name string) dist.ShardCaller {
 	defer d.mu.Unlock()
 	c, ok := d.clients[name]
 	if !ok {
-		c = client.New(name)
+		c = client.New(name, client.WithMaxRetries(0))
 		d.clients[name] = c
 	}
 	return c
@@ -258,12 +263,11 @@ func main() {
 
 	addr := flag.String("addr", ":8477", "listen address")
 	workers := flag.Int("j", 0, "worker-goroutine ceiling per request (0 = all CPUs)")
-	concurrent := flag.Int("concurrent", 0, "analyses running at once (0 = 2)")
+	concurrent := flag.Int("concurrent", 0, "analyses running at once, sync and jobs alike (0 = 2)")
 	queue := flag.Int("queue", 0, "waiting requests beyond the running ones (0 = 8)")
-	timeout := flag.Duration("timeout", 0, "per-request budget (0 = 60s)")
+	timeout := flag.Duration("timeout", 0, "per-request budget; a run that reaches it returns partial results flagged degraded (0 = 60s)")
 	jobQueue := flag.Int("job-queue", 0, "async jobs waiting across all tenants (0 = 16)")
 	jobsPerTenant := flag.Int("jobs-per-tenant", 0, "one tenant's in-flight job cap (0 = 4)")
-	jobWorkers := flag.Int("job-workers", 0, "jobs executing concurrently (0 = -concurrent)")
 	snapshotUnits := flag.Int("snapshot", 0, "snapshot store capacity in units (0 = 1024)")
 	cacheDir := flag.String("cache-dir", "", "persistent snapshot cache directory (empty = memory only)")
 	jobDir := flag.String("job-dir", "", "persist async jobs under this directory so a restart recovers them (empty = in-memory only)")
@@ -363,7 +367,6 @@ func main() {
 		Timeout:       *timeout,
 		JobQueueDepth: *jobQueue,
 		JobsPerTenant: *jobsPerTenant,
-		JobWorkers:    *jobWorkers,
 		SnapshotUnits: *snapshotUnits,
 		CacheDir:      *cacheDir,
 		JobDir:        *jobDir,

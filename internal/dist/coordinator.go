@@ -37,7 +37,8 @@ const (
 const fleetStage = "fleet"
 
 // ShardCaller scatters one shard request to one worker. internal/client
-// implements it over HTTP with retry/backoff; tests implement it
+// implements it over HTTP (deviantd dials it with retries off, so the
+// shard transport's own retries are the only ones); tests implement it
 // in-process.
 type ShardCaller interface {
 	Shard(ctx context.Context, req *ShardRequest, requestID string) (*ShardResponse, error)

@@ -130,8 +130,10 @@ type Options struct {
 	Span *obs.Span
 	// Deadline, when non-zero, is a wall-clock budget: traversal stops
 	// once the clock passes it and RunStats.DeadlineExceeded is set.
-	// The clock is sampled every deadlineStride visits, so overrun is
-	// bounded by the cost of that many visits, not by path length.
+	// The clock is sampled every deadlineStride visits a Runner makes,
+	// counted across all its Run calls, so overrun is bounded by the
+	// cost of that many visits, not by path length, and a Runner reused
+	// over many small functions does not read the clock for each one.
 	Deadline time.Time
 }
 
@@ -167,6 +169,10 @@ type runner struct {
 	// keyBuf is the reused memo-key buffer; map lookups convert it with
 	// a non-escaping string conversion, so only first-time inserts copy.
 	keyBuf []byte
+	// polls counts deadline checks over the runner's lifetime, not per
+	// Run: the clock is read when it is a multiple of deadlineStride, so
+	// a fresh runner samples on its first visit.
+	polls int
 }
 
 // fire delivers ev to the checker through the shared scratch slot.
@@ -240,10 +246,12 @@ func (r *runner) visit(blk *cfg.Block, st State, onPath map[int]int) {
 		r.stats.Truncated = true
 		return
 	}
-	if !r.opts.Deadline.IsZero() && r.stats.Visits%deadlineStride == 0 &&
-		time.Now().After(r.opts.Deadline) {
-		r.stats.DeadlineExceeded = true
-		return
+	if !r.opts.Deadline.IsZero() {
+		if r.polls%deadlineStride == 0 && time.Now().After(r.opts.Deadline) {
+			r.stats.DeadlineExceeded = true
+			return
+		}
+		r.polls++
 	}
 	if r.opts.Memoize {
 		b := strconv.AppendInt(r.keyBuf[:0], int64(blk.ID), 10)

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"deviant/internal/corpus"
 	"deviant/internal/fault"
 )
 
@@ -280,9 +282,9 @@ func TestFaultServicePanicRecovery(t *testing.T) {
 	analyze(t, s, svcSources())
 }
 
-// A panic on the analysis worker goroutine (which can outlive the
-// request on the 504 path, beyond ServeHTTP's recovery) is contained to
-// the request: 500 with a redacted cause, daemon alive.
+// A panic in the run body (shared with the job workers, which have no
+// ServeHTTP recovery above them) is contained to the request: 500 with
+// a redacted cause, daemon alive.
 func TestFaultWorkerPanicRecovery(t *testing.T) {
 	fault.Arm("service-worker", "run")
 	defer fault.Reset()
@@ -329,6 +331,45 @@ func TestFaultAnalyzeDegradedResponse(t *testing.T) {
 	clean := analyze(t, s, svcSources())
 	if clean.Degraded || len(clean.Quarantined) != 0 {
 		t.Fatalf("clean run still degraded: %+v", clean.Quarantined)
+	}
+
+	// A run that reaches its Timeout degrades the same way: analyze and
+	// diff answer 200 with what they have, never 504, and give their run
+	// slot back before answering.
+	s = New(Config{Timeout: 20 * time.Millisecond})
+	tree := corpus.Generate(corpus.Linux247()).Files
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/analyze", AnalyzeRequest{Sources: tree}},
+		{"/v1/diff", DiffRequest{OldSources: tree, NewSources: tree}},
+	} {
+		rr, body := postJSON(t, s, c.path, c.body)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s past Timeout: status %d, want 200: %.200s", c.path, rr.Code, body)
+		}
+		var resp AnalyzeResponse
+		if c.path == "/v1/diff" {
+			var d DiffResponse
+			if err := json.Unmarshal(body, &d); err != nil {
+				t.Fatal(err)
+			}
+			resp = d.New
+		} else if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Degraded || len(resp.Quarantined) == 0 {
+			t.Fatalf("%s past Timeout not degraded: %+v", c.path, resp.Quarantined)
+		}
+		for _, q := range resp.Quarantined {
+			if q.Cause != "deadline-exceeded" {
+				t.Fatalf("%s past Timeout: record %+v, want deadline-exceeded", c.path, q)
+			}
+		}
+		if len(s.run) != 0 || s.inflight.Value() != 0 {
+			t.Fatalf("%s answered still holding a run slot", c.path)
+		}
 	}
 }
 

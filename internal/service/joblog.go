@@ -1,35 +1,31 @@
 // The job subsystem's write-ahead log: one file per accepted job,
-// holding the job's request and lifecycle state, written atomically
-// (temp file + fsync + rename) with the same magic + SHA-256 framing as
-// the snapshot store's disk tier. The log makes accepted work a
-// durable promise: a coordinator crash loses no accepted job — on
-// restart, queued and mid-run jobs are re-admitted and re-run, and
-// finished jobs keep serving their exact result bytes (the encoded
-// response body is persisted verbatim, so GET /v1/jobs/{id}/result
-// after a restart is byte-identical to before it).
+// holding the job's request and lifecycle state, in the crash-safe
+// record format the snapshot store's disk tier also uses
+// (internal/recfile). The log makes accepted work a durable promise: a
+// coordinator crash loses no accepted job — on restart, queued and
+// mid-run jobs are re-admitted and re-run, and finished jobs keep
+// serving their exact result bytes (the encoded response body is
+// persisted verbatim, so GET /v1/jobs/{id}/result after a restart is
+// byte-identical to before it).
 //
-// Corruption handling is inherited from the disk-tier idiom: a torn
-// write from a crash leaves a temp file or a checksum-invalid entry,
-// both swept at startup, so the log self-heals by dropping exactly the
-// entry that was mid-write — never by refusing to start.
+// A torn write from a crash leaves a temp file or a checksum-invalid
+// entry, both swept at startup, so the log self-heals by dropping
+// exactly the entry that was mid-write — never by refusing to start.
 package service
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/gob"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"deviant/internal/recfile"
 )
 
 // jobMagic leads every job-log file; a file without it is not ours.
 var jobMagic = []byte("DVJOBL1\n")
 
 // jobTmpPrefix marks in-progress writes; openJobLog sweeps leftovers.
-const jobTmpPrefix = ".tmp-"
+const jobTmpPrefix = recfile.TmpPrefix
 
 const jobSuffix = ".job"
 
@@ -48,7 +44,7 @@ type jobEntry struct {
 
 // jobLog is the persistent tier, one directory of entry files.
 type jobLog struct {
-	dir string
+	dir *recfile.Dir[jobEntry]
 }
 
 // jobIDNum extracts the numeric tail of a "job-N" id (0 if foreign).
@@ -63,31 +59,12 @@ func jobIDNum(id string) int64 {
 // corrupt count), and returns the surviving entries in submission
 // (numeric id) order.
 func openJobLog(dir string) (*jobLog, []jobEntry, int64, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, 0, err
-	}
-	names, err := os.ReadDir(dir)
+	var entries []jobEntry
+	d, corrupt, err := recfile.Open(dir, jobMagic, jobSuffix,
+		func(e *jobEntry) string { return e.ID },
+		func(e *jobEntry) { entries = append(entries, *e) })
 	if err != nil {
 		return nil, nil, 0, err
-	}
-	var entries []jobEntry
-	var corrupt int64
-	for _, de := range names {
-		name := de.Name()
-		if strings.HasPrefix(name, jobTmpPrefix) {
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if !strings.HasSuffix(name, jobSuffix) {
-			continue
-		}
-		e, ok := readJobEntry(filepath.Join(dir, name))
-		if !ok || name != e.ID+jobSuffix {
-			os.Remove(filepath.Join(dir, name))
-			corrupt++
-			continue
-		}
-		entries = append(entries, *e)
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := jobIDNum(entries[i].ID), jobIDNum(entries[j].ID)
@@ -96,72 +73,12 @@ func openJobLog(dir string) (*jobLog, []jobEntry, int64, error) {
 		}
 		return entries[i].ID < entries[j].ID
 	})
-	return &jobLog{dir: dir}, entries, corrupt, nil
-}
-
-// readJobEntry reads one file and returns its decoded payload only if
-// the magic, checksum and gob decode all hold.
-func readJobEntry(path string) (*jobEntry, bool) {
-	raw, err := os.ReadFile(path)
-	if err != nil || len(raw) < len(jobMagic)+sha256.Size {
-		return nil, false
-	}
-	if !bytes.Equal(raw[:len(jobMagic)], jobMagic) {
-		return nil, false
-	}
-	sum := raw[len(jobMagic) : len(jobMagic)+sha256.Size]
-	payload := raw[len(jobMagic)+sha256.Size:]
-	if got := sha256.Sum256(payload); !bytes.Equal(sum, got[:]) {
-		return nil, false
-	}
-	var e jobEntry
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
-		return nil, false
-	}
-	return &e, true
+	return &jobLog{dir: d}, entries, corrupt, nil
 }
 
 // write persists one entry atomically, replacing any previous state for
-// the same job: temp file in the same directory, magic + checksum +
-// payload, fsync, close, rename. A crash at any point leaves either the
-// previous entry or a temp file openJobLog will sweep — never a
-// partially visible entry.
-func (l *jobLog) write(e *jobEntry) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(e); err != nil {
-		return err
-	}
-	sum := sha256.Sum256(payload.Bytes())
-	f, err := os.CreateTemp(l.dir, jobTmpPrefix+"*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	_, werr := f.Write(jobMagic)
-	if werr == nil {
-		_, werr = f.Write(sum[:])
-	}
-	if werr == nil {
-		_, werr = f.Write(payload.Bytes())
-	}
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, e.ID+jobSuffix)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
+// the same job.
+func (l *jobLog) write(e *jobEntry) error { return l.dir.Write(e.ID, e) }
 
 // remove forgets one job's entry (history eviction).
-func (l *jobLog) remove(id string) {
-	os.Remove(filepath.Join(l.dir, id+jobSuffix))
-}
+func (l *jobLog) remove(id string) { l.dir.Remove(id) }

@@ -18,8 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"deviant"
-	"deviant/internal/fault"
 	"deviant/internal/obs"
 )
 
@@ -63,7 +61,7 @@ type job struct {
 	respRaw  []byte             // encoded result body, exactly as served
 	canceled bool               // cancel requested (may still be running)
 	ending   string             // terminal state being persisted, then published
-	cancel   context.CancelFunc // non-nil while running
+	cancel   context.CancelFunc // non-nil once a worker holds the job
 	journal  *obs.Journal       // keyed by job id, shared across lifecycle
 	done     chan struct{}      // closed when the job reaches a terminal state
 }
@@ -74,6 +72,8 @@ func (j *job) statusLocked() JobStatus {
 }
 
 // jobManager owns the queues, the scheduler workers and job retention.
+// It runs MaxConcurrent workers; each takes one of the server's run slots
+// per job, so jobs and sync requests share the same MaxConcurrent bound.
 type jobManager struct {
 	s *Server
 
@@ -153,7 +153,7 @@ func newJobManager(s *Server, recovered []jobEntry) *jobManager {
 		s.nextJobID.Store(maxID)
 	}
 	m.evictLocked() // no workers yet, so the lock is not needed
-	for i := 0; i < s.cfg.JobWorkers; i++ {
+	for i := 0; i < s.cfg.MaxConcurrent; i++ {
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
@@ -315,69 +315,49 @@ func (m *jobManager) dequeueLocked() *job {
 	return j
 }
 
-// run executes one job to a terminal state. Cancellation mid-run is
-// honored at the next observation point: the context aborts fleet
-// scatters immediately, the deadline bounds local compute, and a
-// cancel-flagged job discards its result instead of publishing it.
+// run executes one job to a terminal state. The job waits for a run
+// slot like any sync request and then runs under the same Timeout.
+// Cancellation is honored at the next observation point: the context
+// ends the wait for a slot and aborts fleet scatters, the deadline
+// bounds local compute, and a cancel-flagged job discards its result
+// instead of publishing it.
 func (m *jobManager) run(j *job) {
 	s := m.s
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.Timeout)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	m.mu.Lock()
 	j.cancel = cancel
-	alreadyCanceled := j.canceled
-	e := m.entryLocked(j) // state is running: a crash from here re-runs the job
-	m.mu.Unlock()
-	m.persist(e)
-	j.journal.Event("job_start", obs.A("tenant", j.tenant))
-	if m.runHook != nil {
-		m.runHook(j)
+	if j.canceled {
+		cancel() // canceled between pop and here
 	}
+	m.mu.Unlock()
 
 	var resp *AnalyzeResponse
 	errMsg := ""
-	if !alreadyCanceled {
-		v, status, msg := func() (v any, status int, msg string) {
-			defer func() {
-				if p := recover(); p != nil {
-					s.panics.Inc()
-					v, status, msg = nil, http.StatusInternalServerError,
-						"job worker panicked: "+fault.Redact(p)
-				}
-			}()
-			fault.Trap("jobs", "run")
-			opts, err := s.buildOptions(j.req.Options)
-			if err != nil {
-				return nil, http.StatusBadRequest, err.Error()
-			}
-			opts.Journal = j.journal
-			opts.Deadline = time.Now().Add(s.cfg.Timeout)
-			t := time.Now()
-			var res *deviant.Result
-			if c := s.cfg.Coordinator; c != nil {
-				res, err = c.Run(ctx, j.req.Sources, opts, j.id)
-			} else {
-				res, err = deviant.Analyze(j.req.Sources, opts)
-			}
-			s.analyzeNs.Add(time.Since(t).Seconds())
-			if err != nil {
-				return nil, http.StatusInternalServerError, err.Error()
-			}
-			return res, 0, ""
-		}()
-		if status != 0 {
-			errMsg = msg
-		} else {
-			res := v.(*deviant.Result)
-			s.recordRun(res)
-			r := render(res, countUnits(j.req.Sources), j.req.Options)
-			resp = &r
-			j.journal.Event("rank",
-				obs.A("reports", strconv.Itoa(len(r.Reports))),
-				obs.A("functions", strconv.Itoa(res.FuncCount)),
-				obs.A("parse_errors", strconv.Itoa(len(res.ParseErrors))))
+	if release, err := s.runSlot(ctx); err == nil {
+		m.mu.Lock()
+		alreadyCanceled := j.canceled
+		e := m.entryLocked(j) // state is running: a crash from here re-runs the job
+		m.mu.Unlock()
+		m.persist(e)
+		j.journal.Event("job_start", obs.A("tenant", j.tenant))
+		if m.runHook != nil {
+			m.runHook(j)
 		}
+		if !alreadyCanceled {
+			opts, err := s.buildOptions(j.req.Options)
+			if err == nil {
+				opts.Journal = j.journal
+				rctx, rcancel := context.WithTimeout(ctx, s.cfg.Timeout)
+				resp, err = s.execute(rctx, j.req, opts, j.id)
+				rcancel()
+			}
+			if err != nil {
+				errMsg = err.Error()
+			}
+		}
+		release()
 	}
-	cancel()
 
 	// Encode the result body outside the lock. These are the exact bytes
 	// the result endpoint serves — and the exact bytes the job log

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -130,7 +131,7 @@ func TestJobResultMatchesSyncAnalyze(t *testing.T) {
 // server never issued (or evicted), 409 for a result that is not done
 // yet.
 func TestJobUnknownAndNotReady(t *testing.T) {
-	s := New(Config{JobWorkers: 1})
+	s := New(Config{MaxConcurrent: 1})
 	gate := make(chan struct{})
 	s.jobs.runHook = func(*job) { <-gate }
 
@@ -157,7 +158,7 @@ func TestJobUnknownAndNotReady(t *testing.T) {
 // worker wedged and the queue at capacity, the next submission gets 429
 // with a Retry-After hint, and the rejection counts in /metrics.
 func TestJobQueueFull(t *testing.T) {
-	s := New(Config{JobWorkers: 1, JobQueueDepth: 2, JobsPerTenant: 99})
+	s := New(Config{MaxConcurrent: 1, JobQueueDepth: 2, JobsPerTenant: 99})
 	gate := make(chan struct{})
 	s.jobs.runHook = func(*job) { <-gate }
 	defer close(gate)
@@ -187,6 +188,19 @@ func TestJobQueueFull(t *testing.T) {
 	}
 }
 
+// waitMetric polls /metrics until it carries line, or fails.
+func waitMetric(t *testing.T, s *Server, line string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if strings.Contains(getJSON(t, s, "/metrics", nil).Body.String(), line+"\n") {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("/metrics never showed %q", line)
+}
+
 // waitState polls until the job reports state, or fails.
 func waitState(t *testing.T, s *Server, id, state string) {
 	t.Helper()
@@ -206,7 +220,7 @@ func waitState(t *testing.T, s *Server, id, state string) {
 // in-flight cap gets 429 naming the quota, while a different tenant
 // still submits freely against the same queue.
 func TestJobTenantQuota(t *testing.T) {
-	s := New(Config{JobWorkers: 1, JobsPerTenant: 2, JobQueueDepth: 16})
+	s := New(Config{MaxConcurrent: 1, JobsPerTenant: 2, JobQueueDepth: 16})
 	gate := make(chan struct{})
 	s.jobs.runHook = func(*job) { <-gate }
 
@@ -243,7 +257,7 @@ func TestJobTenantQuota(t *testing.T) {
 // holding a deep queue, tenant B's single job runs after A's next job,
 // not after A's whole backlog.
 func TestJobFairScheduling(t *testing.T) {
-	s := New(Config{JobWorkers: 1, JobsPerTenant: 8, JobQueueDepth: 16})
+	s := New(Config{MaxConcurrent: 1, JobsPerTenant: 8, JobQueueDepth: 16})
 	var mu sync.Mutex
 	order := []string{}
 	gate := make(chan struct{})
@@ -281,13 +295,15 @@ func TestJobFairScheduling(t *testing.T) {
 	}
 }
 
-// TestJobCancel covers both cancellation shapes: a queued job dies
-// without ever running, and a running job is flagged, finishes quietly,
-// and never publishes its result.
+// TestJobCancel covers the cancellation shapes: a queued job dies
+// without ever running, a running job is flagged, finishes quietly, and
+// never publishes its result, and a job waiting for a run slot dies
+// without ever starting.
 func TestJobCancel(t *testing.T) {
-	s := New(Config{JobWorkers: 1, JobsPerTenant: 8})
+	s := New(Config{MaxConcurrent: 1, JobsPerTenant: 8})
 	gate := make(chan struct{})
-	s.jobs.runHook = func(*job) { <-gate }
+	var starts atomic.Int64
+	s.jobs.runHook = func(*job) { starts.Add(1); <-gate }
 
 	run, _ := submitJob(t, s, "a", svcSources())
 	waitState(t, s, run.ID, JobRunning)
@@ -332,13 +348,31 @@ func TestJobCancel(t *testing.T) {
 	if !strings.Contains(metrics, "deviantd_jobs_canceled_total 2") {
 		t.Fatal("cancellations not counted in /metrics")
 	}
+
+	// A job waiting for the run slot (held here as a sync analysis would
+	// hold it) is canceled without starting.
+	s.run <- struct{}{}
+	waiting, _ := submitJob(t, s, "a", svcSources())
+	waitMetric(t, s, "deviantd_queue_depth 1")
+	rr = httptest.NewRecorder()
+	s.ServeHTTP(rr, httptest.NewRequest("DELETE", "/v1/jobs/"+waiting.ID, nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("cancel waiting: %d: %s", rr.Code, rr.Body.Bytes())
+	}
+	if got := waitJob(t, s, waiting.ID); got.State != JobCanceled {
+		t.Fatalf("waiting job ended %q after cancel, want canceled", got.State)
+	}
+	<-s.run
+	if n := starts.Load(); n != 1 {
+		t.Fatalf("%d jobs started, want only the first", n)
+	}
 }
 
 // TestJobDrainWithJobsInFlight pins the drain promise: accepted jobs
 // finish, their results stay fetchable, and new submissions bounce with
 // 503 + Retry-After while the drain is underway.
 func TestJobDrainWithJobsInFlight(t *testing.T) {
-	s := New(Config{JobWorkers: 1, JobsPerTenant: 8})
+	s := New(Config{MaxConcurrent: 1, JobsPerTenant: 8})
 	gate := make(chan struct{})
 	s.jobs.runHook = func(*job) { <-gate }
 
@@ -350,13 +384,20 @@ func TestJobDrainWithJobsInFlight(t *testing.T) {
 	stopped := make(chan error, 1)
 	go func() { stopped <- s.StopJobs(context.Background()) }()
 
-	// While draining: no new jobs.
+	// While draining: no new jobs and no sync analyses, while the
+	// accepted job keeps its run slot.
 	_, rr := submitJob(t, s, "a", svcSources())
 	if rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: %d, want 503", rr.Code)
 	}
 	if rr.Header().Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
+	}
+	if rr, body := postJSON(t, s, "/v1/analyze", AnalyzeRequest{Sources: svcSources()}); rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("sync analyze while draining: %d, want 503: %s", rr.Code, body)
+	}
+	if m := getJSON(t, s, "/metrics", nil).Body.String(); !strings.Contains(m, "deviantd_requests_inflight 1\n") {
+		t.Fatal("running job not counted in deviantd_requests_inflight")
 	}
 
 	close(gate)
@@ -379,7 +420,7 @@ func TestJobDrainWithJobsInFlight(t *testing.T) {
 // expires with a job still wedged, StopJobs cancels the stragglers and
 // returns the context error instead of hanging.
 func TestJobDrainDeadline(t *testing.T) {
-	s := New(Config{JobWorkers: 1})
+	s := New(Config{MaxConcurrent: 1})
 	gate := make(chan struct{})
 	s.jobs.runHook = func(*job) { <-gate }
 	st, _ := submitJob(t, s, "a", svcSources())

@@ -35,14 +35,19 @@
 // obs.Registry aggregates counters/gauges/histograms for /metrics; and
 // per-run tracing is opt-in per request via ?trace=1.
 //
-// Admission control is two-level: at most MaxConcurrent analyses run at
-// once, at most QueueDepth more wait; beyond that requests are rejected
-// immediately with 429 so clients back off instead of piling up. A
-// request that waits or runs past Timeout gets 504 (its work completes in
-// the background and still warms the snapshot store). SIGTERM handling
-// lives in cmd/deviantd: it marks the server draining (healthz flips to
-// 503, new analyses get 503) and lets http.Server.Shutdown wait for
-// in-flight requests.
+// Every analysis — sync analyze, diff, shard, and each async job — takes
+// one of MaxConcurrent run slots and runs on its own request or job-worker
+// goroutine. At most MaxConcurrent+QueueDepth sync requests are admitted
+// at once, running or waiting for a slot; beyond that they are rejected
+// immediately with 429 so clients back off instead of piling up (jobs
+// wait in their own bounded queue). One timeout rule holds on every
+// path: a run that reaches Timeout stops and returns what it has,
+// flagged degraded with deadline-exceeded records, and a request answers
+// 504 only if its deadline passes before it has any result (while
+// waiting for a run slot, or while a coordinator scatter is still out).
+// SIGTERM handling lives in cmd/deviantd: it marks the server draining
+// (healthz flips to 503, new sync analyses get 503, accepted jobs still
+// run) and lets http.Server.Shutdown wait for in-flight requests.
 package service
 
 import (
@@ -78,11 +83,13 @@ type Config struct {
 	MaxWorkers int
 	// MaxConcurrent is how many analyses run at once (0 = 2).
 	MaxConcurrent int
-	// QueueDepth is how many requests may wait beyond the running ones
-	// before new ones are rejected with 429 (0 = 8).
+	// QueueDepth is how many sync requests may be admitted beyond
+	// MaxConcurrent, waiting for a run slot, before new ones are
+	// rejected with 429 (0 = 8).
 	QueueDepth int
-	// Timeout bounds one request's queue wait plus analysis (0 = 60s).
-	// Async jobs get the same budget per run.
+	// Timeout bounds one request's wait for a run slot plus its analysis
+	// (0 = 60s). A run that reaches it stops and answers with what it
+	// has, flagged degraded. Async jobs get the same budget per run.
 	Timeout time.Duration
 	// JobQueueDepth caps jobs waiting to run across all tenants; beyond
 	// it POST /v1/jobs answers 429 (0 = 16).
@@ -91,8 +98,6 @@ type Config struct {
 	// running; beyond it that tenant's submissions get 429 while other
 	// tenants are unaffected (0 = 4).
 	JobsPerTenant int
-	// JobWorkers is how many jobs execute concurrently (0 = MaxConcurrent).
-	JobWorkers int
 	// JobHistory bounds retained terminal jobs: past it the oldest
 	// finished jobs are forgotten, 404ing their ids (0 = 256).
 	JobHistory int
@@ -163,9 +168,6 @@ func (c Config) withDefaults() Config {
 	if c.JobsPerTenant <= 0 {
 		c.JobsPerTenant = 4
 	}
-	if c.JobWorkers <= 0 {
-		c.JobWorkers = c.MaxConcurrent
-	}
 	if c.JobHistory <= 0 {
 		c.JobHistory = 256
 	}
@@ -180,8 +182,8 @@ type Server struct {
 	log   *slog.Logger
 	build obs.Build
 
-	slots chan struct{} // admission: running + queued
-	run   chan struct{} // running
+	slots chan struct{} // sync admission: running + waiting
+	run   chan struct{} // run slots, shared by every analysis
 
 	draining  atomic.Bool
 	nextID    atomic.Int64 // request id sequence
@@ -196,7 +198,8 @@ type Server struct {
 	rejected  *obs.Counter // 429s
 	timeouts  *obs.Counter // 504s
 	panics    *obs.Counter // handler/worker panics recovered into 500s
-	inflight  *obs.Gauge
+	inflight  *obs.Gauge   // analyses holding a run slot
+	waiting   *obs.Gauge   // analyses waiting for a run slot
 	analyzeNs *obs.Counter // cumulative analysis wall clock, seconds
 
 	jobsSubmitted *obs.Counter
@@ -302,7 +305,9 @@ func (s *Server) initMetrics() {
 	s.panics = s.reg.Counter("deviantd_panics_recovered_total",
 		"Handler or analysis-worker panics recovered into 500 responses.")
 	s.inflight = s.reg.Gauge("deviantd_requests_inflight",
-		"Analyses currently executing.")
+		"Analyses currently executing (sync requests and jobs).")
+	s.waiting = s.reg.Gauge("deviantd_queue_depth",
+		"Analyses waiting for a run slot (sync requests and jobs).")
 	s.analyzeNs = s.reg.Counter("deviantd_analysis_seconds_total",
 		"Cumulative analysis wall clock, in seconds.")
 	s.jobsSubmitted = s.reg.Counter("deviantd_jobs_submitted_total",
@@ -321,14 +326,6 @@ func (s *Server) initMetrics() {
 	s.reg.GaugeFunc("deviantd_jobs_running",
 		"Async jobs executing right now.",
 		func() float64 { _, r := s.jobs.counts(); return float64(r) })
-	s.reg.GaugeFunc("deviantd_queue_depth",
-		"Admitted requests waiting for a run slot.",
-		func() float64 {
-			if d := len(s.slots) - len(s.run); d > 0 {
-				return float64(d)
-			}
-			return 0
-		})
 	s.reg.CounterFunc("deviantd_snapshot_unit_hits",
 		"Snapshot lookups answered from the store.",
 		func() float64 { return float64(s.store.Stats().UnitHits) })
@@ -596,16 +593,9 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // retryAfterSecs derives the Retry-After hint from current queue
 // pressure: an idle server invites an immediate retry (1s), and each
-// admitted-but-waiting request adds a second, capped at 30.
+// analysis waiting for a run slot adds a second, capped at 30.
 func (s *Server) retryAfterSecs() int {
-	secs := 1
-	if d := len(s.slots) - len(s.run); d > 0 {
-		secs += d
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
+	return min(1+int(s.waiting.Value()), 30)
 }
 
 // writeFailure maps an admission or run failure onto the wire. The two
@@ -646,8 +636,29 @@ func (s *Server) buildOptions(ro RequestOptions) (deviant.Options, error) {
 	return opts, nil
 }
 
-// admit reserves capacity for one analysis. It returns a release func on
-// success, or an HTTP status + message when the request cannot run.
+// runSlot waits for one of the MaxConcurrent run slots — the one gate
+// every analysis passes, sync request or job — and returns its release,
+// or ctx's error if ctx ends first.
+func (s *Server) runSlot(ctx context.Context) (func(), error) {
+	s.waiting.Add(1)
+	select {
+	case s.run <- struct{}{}:
+	case <-ctx.Done():
+		s.waiting.Add(-1)
+		return nil, ctx.Err()
+	}
+	s.waiting.Add(-1)
+	s.inflight.Add(1)
+	return func() {
+		s.inflight.Add(-1)
+		<-s.run
+	}, nil
+}
+
+// admit reserves capacity for one sync request: a place among the
+// running and waiting ones, then a run slot. It returns an idempotent
+// release func on success, or an HTTP status + message when the request
+// cannot run.
 func (s *Server) admit(ctx context.Context) (func(), int, string) {
 	if s.draining.Load() {
 		return nil, http.StatusServiceUnavailable, "server is draining"
@@ -658,71 +669,20 @@ func (s *Server) admit(ctx context.Context) (func(), int, string) {
 		s.rejected.Inc()
 		return nil, http.StatusTooManyRequests, "queue full, retry later"
 	}
-	select {
-	case s.run <- struct{}{}:
-	case <-ctx.Done():
+	release, err := s.runSlot(ctx)
+	if err != nil {
 		<-s.slots
 		s.timeouts.Inc()
-		return nil, http.StatusGatewayTimeout, "timed out waiting for a worker slot"
+		return nil, http.StatusGatewayTimeout, "timed out waiting for a run slot"
 	}
+	s.requests.Inc()
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			<-s.run
+			release()
 			<-s.slots
 		})
 	}, 0, ""
-}
-
-// runAnalysis executes fn under the admission tokens and the request
-// timeout. fn receives the timeout context so fleet scatters can abort
-// remote calls; the in-process pipeline ignores it. On timeout the
-// analysis keeps running in the background — still holding its run
-// token, still warming the snapshot store — and the client gets 504.
-func (s *Server) runAnalysis(ctx context.Context, fn func(ctx context.Context) (any, error)) (any, int, string) {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
-	defer cancel()
-	release, status, msg := s.admit(ctx)
-	if release == nil {
-		return nil, status, msg
-	}
-	s.requests.Inc()
-	s.inflight.Add(1)
-	type outcome struct {
-		v   any
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		defer release()
-		defer s.inflight.Add(-1)
-		t := time.Now()
-		// The analysis goroutine may outlive the request (504 path), so a
-		// panic here would escape ServeHTTP's recovery and kill the daemon.
-		// Contain it to this request: 500 for the client, daemon lives.
-		v, err := func() (v any, err error) {
-			defer func() {
-				if p := recover(); p != nil {
-					s.panics.Inc()
-					err = fmt.Errorf("analysis worker panicked: %s", fault.Redact(p))
-				}
-			}()
-			fault.Trap("service-worker", "run")
-			return fn(ctx)
-		}()
-		s.analyzeNs.Add(time.Since(t).Seconds())
-		done <- outcome{v, err}
-	}()
-	select {
-	case out := <-done:
-		if out.err != nil {
-			return nil, http.StatusInternalServerError, out.err.Error()
-		}
-		return out.v, 0, ""
-	case <-ctx.Done():
-		s.timeouts.Inc()
-		return nil, http.StatusGatewayTimeout, "analysis timed out"
-	}
 }
 
 // decodeRequest parses a JSON body under the configured size cap.
@@ -795,10 +755,46 @@ func countUnits(sources map[string]string) int {
 	return n
 }
 
-// recordRun folds a finished analysis into the server's state — the
-// one place the sync /v1/analyze path and the job workers both go
-// through: metrics, the analysis counter, and the rule lists
-// GET /v1/rules serves.
+// execute runs one AnalyzeRequest on a run slot the caller holds: the
+// one run body behind POST /v1/analyze and every job. The pipeline stops
+// at ctx's deadline and returns what it has, flagged degraded; only a
+// coordinator scatter still out at the deadline leaves no result, and
+// then the error is ctx's. A panic anywhere in the run is contained here
+// and returned as an error, so neither a request nor a job worker dies
+// with it.
+func (s *Server) execute(ctx context.Context, req AnalyzeRequest, opts deviant.Options, runID string) (resp *AnalyzeResponse, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.panics.Inc()
+			resp, err = nil, fmt.Errorf("analysis worker panicked: %s", fault.Redact(p))
+		}
+	}()
+	fault.Trap("service-worker", "run")
+	opts.Deadline, _ = ctx.Deadline()
+	t := time.Now()
+	var res *deviant.Result
+	if c := s.cfg.Coordinator; c != nil {
+		// Coordinator mode: same options, same output bytes, but the
+		// frontend runs on the fleet (DESIGN.md §12).
+		res, err = c.Run(ctx, req.Sources, opts, runID)
+	} else {
+		res, err = deviant.Analyze(req.Sources, opts)
+	}
+	s.analyzeNs.Add(time.Since(t).Seconds())
+	if err != nil {
+		return nil, err
+	}
+	s.recordRun(res)
+	r := render(res, countUnits(req.Sources), req.Options)
+	opts.Journal.Event("rank",
+		obs.A("reports", strconv.Itoa(len(r.Reports))),
+		obs.A("functions", strconv.Itoa(res.FuncCount)),
+		obs.A("parse_errors", strconv.Itoa(len(res.ParseErrors))))
+	return &r, nil
+}
+
+// recordRun folds a finished analysis into the server's state: metrics,
+// the analysis counter, and the rule lists GET /v1/rules serves.
 func (s *Server) recordRun(res *deviant.Result) {
 	res.RecordMetrics(s.reg)
 	s.mu.Lock()
@@ -880,39 +876,41 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	journal.Event("run_start",
 		obs.A("endpoint", "analyze"), obs.A("mode", mode),
 		obs.A("units", strconv.Itoa(countUnits(req.Sources))))
-	v, status, msg := s.runAnalysis(r.Context(), func(ctx context.Context) (any, error) {
-		if c := s.cfg.Coordinator; c != nil {
-			// Coordinator mode: same options, same output bytes, but the
-			// frontend runs on the fleet (DESIGN.md §12).
-			return c.Run(ctx, req.Sources, opts, requestID(r.Context()))
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+	defer cancel()
+	release, status, msg := s.admit(ctx)
+	var resp *AnalyzeResponse
+	if release != nil {
+		resp, err = s.execute(ctx, req, opts, requestID(ctx))
+		release()
+		switch {
+		case err == nil:
+		case ctx.Err() != nil: // no result by the deadline: a scatter was still out
+			s.timeouts.Inc()
+			status, msg = http.StatusGatewayTimeout, "analysis timed out"
+		default:
+			status, msg = http.StatusInternalServerError, err.Error()
 		}
-		return deviant.Analyze(req.Sources, opts)
-	})
+	}
 	reqSpan.End()
 	if status != 0 {
 		journal.Event("run_end", obs.A("status", strconv.Itoa(status)))
 		s.writeFailure(w, status, msg)
 		return
 	}
-	res := v.(*deviant.Result)
-	s.recordRun(res)
-	resp := render(res, countUnits(req.Sources), req.Options)
 	if tr != nil {
 		resp.Trace = exportTrace(tr)
 	}
-	journal.Event("rank",
-		obs.A("reports", strconv.Itoa(len(resp.Reports))),
-		obs.A("functions", strconv.Itoa(res.FuncCount)),
-		obs.A("parse_errors", strconv.Itoa(len(res.ParseErrors))))
 	journal.Event("run_end", obs.A("status", "200"))
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleShard is the worker half of a distributed run: preprocess and
 // parse this shard's units, answer with token-stream partials the
-// coordinator merges. Shards run under the same admission control as
-// analyses — a worker is just a deviantd that only ever sees frontend
-// work.
+// coordinator merges. Shards take a run slot like any analysis — a
+// worker is just a deviantd that only ever sees frontend work — and,
+// once started, run to completion: the coordinator's transport owns this
+// call's timeout.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	var req dist.ShardRequest
 	if !s.decodeRequest(w, r, &req) {
@@ -932,14 +930,22 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	v, status, msg := s.runAnalysis(r.Context(), func(ctx context.Context) (any, error) {
-		return dist.RunShard(&req, s.store, s.cfg.MaxWorkers)
-	})
-	if status != 0 {
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+	defer cancel()
+	release, status, msg := s.admit(ctx)
+	if release == nil {
 		s.writeFailure(w, status, msg)
 		return
 	}
-	resp := v.(*dist.ShardResponse)
+	defer release() // a panic must not leak the slot
+	t := time.Now()
+	resp, err := dist.RunShard(&req, s.store, s.cfg.MaxWorkers)
+	s.analyzeNs.Add(time.Since(t).Seconds())
+	release()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	// Piggyback this worker's scalar metric families on the response —
 	// the zero-extra-round-trip half of metrics federation (the
 	// coordinator's background scrape is the other half).
@@ -1008,30 +1014,31 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	type diffOut struct {
-		drifts []deviant.Drift
-		res    *deviant.Result
-	}
-	v, status, msg := s.runAnalysis(r.Context(), func(ctx context.Context) (any, error) {
-		drifts, res, err := deviant.Diff(req.OldSources, req.NewSources, opts)
-		if err != nil {
-			return nil, err
-		}
-		return diffOut{drifts, res}, nil
-	})
-	if status != 0 {
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+	defer cancel()
+	release, status, msg := s.admit(ctx)
+	if release == nil {
 		s.writeFailure(w, status, msg)
 		return
 	}
-	out := v.(diffOut)
-	out.res.RecordMetrics(s.reg)
-	drifts := make([]JSONDrift, len(out.drifts))
-	for i, d := range out.drifts {
+	defer release() // a panic must not leak the slot
+	opts.Deadline, _ = ctx.Deadline()
+	t := time.Now()
+	found, res, err := deviant.Diff(req.OldSources, req.NewSources, opts)
+	s.analyzeNs.Add(time.Since(t).Seconds())
+	release()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	res.RecordMetrics(s.reg)
+	drifts := make([]JSONDrift, len(found))
+	for i, d := range found {
 		drifts[i] = JSONDrift{Kind: d.Kind, Func: d.Func, Pos: d.Pos.String(), Msg: d.Msg}
 	}
 	writeJSON(w, http.StatusOK, DiffResponse{
 		Drifts: drifts,
-		New:    render(out.res, countUnits(req.NewSources), req.Options),
+		New:    render(res, countUnits(req.NewSources), req.Options),
 	})
 }
 

@@ -360,6 +360,30 @@ func TestQueueTimeout(t *testing.T) {
 		t.Error("timeout counter not incremented")
 	}
 	<-s.run
+
+	// A running job holds the same run slot: the sync request waits for
+	// it, counted in the queue depth, and times out there.
+	s = New(Config{MaxConcurrent: 1, Timeout: time.Second})
+	started, gate := make(chan struct{}), make(chan struct{})
+	s.jobs.runHook = func(*job) { close(started); <-gate }
+	st, _ := submitJob(t, s, "a", svcSources())
+	<-started
+	code := make(chan int, 1)
+	go func() {
+		rr, _ := postJSON(t, s, "/v1/analyze", AnalyzeRequest{Sources: svcSources()})
+		code <- rr.Code
+	}()
+	waitMetric(t, s, "deviantd_queue_depth 1")
+	if m := getJSON(t, s, "/metrics", nil).Body.String(); !strings.Contains(m, "deviantd_requests_inflight 1\n") {
+		t.Error("running job not counted in deviantd_requests_inflight")
+	}
+	if c := <-code; c != http.StatusGatewayTimeout {
+		t.Fatalf("sync analyze behind a running job: status %d, want 504", c)
+	}
+	close(gate)
+	if got := waitJob(t, s, st.ID); got.State != JobDone {
+		t.Fatalf("job ended %+v, want done", got)
+	}
 }
 
 func TestDrainRefusesNewWork(t *testing.T) {

@@ -1,5 +1,6 @@
-// The snapshot store's persistent tier: one file per cached unit,
-// written atomically (temp file + fsync + rename) and verified by a
+// The snapshot store's persistent tier: one file per cached unit, in
+// the crash-safe record format deviantd's job log also uses
+// (internal/recfile) — written atomically and verified by a
 // whole-payload SHA-256 checksum on every read. Corruption — a torn
 // write from a crash, a flipped bit, a truncated file — is detected,
 // the entry evicted, and the unit recomputed on the next cold run, so
@@ -13,16 +14,11 @@
 package snapshot
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/gob"
 	"errors"
-	"os"
-	"path/filepath"
-	"strings"
 
 	"deviant/internal/cparse"
 	"deviant/internal/ctoken"
+	"deviant/internal/recfile"
 )
 
 // diskMagic leads every entry file; a file without it is not ours.
@@ -30,7 +26,7 @@ var diskMagic = []byte("DVSNAP1\n")
 
 // tmpPrefix marks in-progress writes. A crash between create and rename
 // leaves one of these behind; openDisk sweeps them.
-const tmpPrefix = ".tmp-"
+const tmpPrefix = recfile.TmpPrefix
 
 const entrySuffix = ".art"
 
@@ -55,7 +51,7 @@ type diskEntry struct {
 }
 
 type disk struct {
-	dir string
+	dir *recfile.Dir[diskEntry]
 }
 
 // scannedEntry is what openDisk reports per surviving file: the index
@@ -64,7 +60,6 @@ type scannedEntry struct {
 	key    string
 	depKey string
 	deps   []dep
-	file   string
 }
 
 // openDisk prepares dir as a persistent tier: creates it if needed,
@@ -72,64 +67,24 @@ type scannedEntry struct {
 // entry's checksum and name, and deletes the ones that fail (returned
 // as the corrupt count).
 func openDisk(dir string) (*disk, []scannedEntry, int64, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, 0, err
-	}
-	names, err := os.ReadDir(dir)
+	var scanned []scannedEntry
+	d, corrupt, err := recfile.Open(dir, diskMagic, entrySuffix,
+		func(e *diskEntry) string { return e.Key },
+		func(e *diskEntry) {
+			deps := make([]dep, len(e.Deps))
+			for i, dd := range e.Deps {
+				deps[i] = dep{path: dd.Path, present: dd.Present}
+			}
+			scanned = append(scanned, scannedEntry{
+				key:    e.Key,
+				depKey: depKeyOf(e.Fingerprint, e.Unit, e.UnitDigest),
+				deps:   deps,
+			})
+		})
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	var scanned []scannedEntry
-	var corrupt int64
-	for _, de := range names {
-		name := de.Name()
-		if strings.HasPrefix(name, tmpPrefix) {
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if !strings.HasSuffix(name, entrySuffix) {
-			continue
-		}
-		e, ok := readEntry(filepath.Join(dir, name))
-		if !ok || name != e.Key+entrySuffix {
-			os.Remove(filepath.Join(dir, name))
-			corrupt++
-			continue
-		}
-		deps := make([]dep, len(e.Deps))
-		for i, dd := range e.Deps {
-			deps[i] = dep{path: dd.Path, present: dd.Present}
-		}
-		scanned = append(scanned, scannedEntry{
-			key:    e.Key,
-			depKey: depKeyOf(e.Fingerprint, e.Unit, e.UnitDigest),
-			deps:   deps,
-			file:   name,
-		})
-	}
-	return &disk{dir: dir}, scanned, corrupt, nil
-}
-
-// readEntry reads one file and returns its decoded payload only if the
-// magic, checksum and gob decode all hold.
-func readEntry(path string) (*diskEntry, bool) {
-	raw, err := os.ReadFile(path)
-	if err != nil || len(raw) < len(diskMagic)+sha256.Size {
-		return nil, false
-	}
-	if !bytes.Equal(raw[:len(diskMagic)], diskMagic) {
-		return nil, false
-	}
-	sum := raw[len(diskMagic) : len(diskMagic)+sha256.Size]
-	payload := raw[len(diskMagic)+sha256.Size:]
-	if got := sha256.Sum256(payload); !bytes.Equal(sum, got[:]) {
-		return nil, false
-	}
-	var e diskEntry
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
-		return nil, false
-	}
-	return &e, true
+	return &disk{dir: d}, scanned, corrupt, nil
 }
 
 // load rehydrates one entry: the persisted token stream reparses into a
@@ -138,8 +93,8 @@ func readEntry(path string) (*diskEntry, bool) {
 // what the original run reported, so warm output stays byte-identical.
 // keepTokens additionally leaves the token stream on the artifact, for
 // stores that retain tokens (fleet workers shipping shard payloads).
-func (d *disk) load(file string, keepTokens bool) (*Artifact, bool) {
-	e, ok := readEntry(filepath.Join(d.dir, file))
+func (d *disk) load(key string, keepTokens bool) (*Artifact, bool) {
+	e, ok := d.dir.Read(key)
 	if !ok {
 		return nil, false
 	}
@@ -158,11 +113,8 @@ func (d *disk) load(file string, keepTokens bool) (*Artifact, bool) {
 	return art, true
 }
 
-// write persists one entry atomically: temp file in the same directory,
-// full payload + checksum, fsync, close, rename. A crash at any point
-// leaves either the previous entry or a temp file openDisk will sweep —
-// never a partially visible entry.
-func (d *disk) write(key, fingerprint, unit, unitDigest string, deps []dep, art *Artifact) (string, error) {
+// write persists one entry atomically under its key.
+func (d *disk) write(key, fingerprint, unit, unitDigest string, deps []dep, art *Artifact) error {
 	e := diskEntry{
 		Fingerprint: fingerprint,
 		Unit:        unit,
@@ -177,42 +129,7 @@ func (d *disk) write(key, fingerprint, unit, unitDigest string, deps []dep, art 
 	for _, err := range art.ParseErrors {
 		e.ParseErrors = append(e.ParseErrors, err.Error())
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&e); err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(payload.Bytes())
-
-	f, err := os.CreateTemp(d.dir, tmpPrefix+"*")
-	if err != nil {
-		return "", err
-	}
-	tmp := f.Name()
-	_, werr := f.Write(diskMagic)
-	if werr == nil {
-		_, werr = f.Write(sum[:])
-	}
-	if werr == nil {
-		_, werr = f.Write(payload.Bytes())
-	}
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return "", werr
-	}
-	file := key + entrySuffix
-	if err := os.Rename(tmp, filepath.Join(d.dir, file)); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	return file, nil
+	return d.dir.Write(key, &e)
 }
 
-func (d *disk) remove(file string) {
-	os.Remove(filepath.Join(d.dir, file))
-}
+func (d *disk) remove(key string) { d.dir.Remove(key) }

@@ -175,10 +175,10 @@ type Store struct {
 
 	// disk, when non-nil, is the crash-safe persistent tier: entries
 	// evicted from (or never resident in) memory can still be answered
-	// from disk, including across process restarts. diskIdx maps
-	// transitive keys to entry file names.
+	// from disk, including across process restarts. diskIdx holds the
+	// transitive keys with an entry on disk.
 	disk    *disk
-	diskIdx map[string]string
+	diskIdx map[string]bool
 
 	// retainTokens keeps each artifact's preprocessed token stream
 	// resident instead of dropping it after the disk write. Fleet
@@ -288,23 +288,20 @@ func (s *Store) Lookup(fs cpp.FileProvider, fingerprint, unit string) (*Artifact
 		s.hits.Add(1)
 		return e.art, true
 	}
-	var file string
 	retain := s.retainTokens
-	if s.disk != nil {
-		file = s.diskIdx[key]
-	}
+	onDisk := s.disk != nil && s.diskIdx[key]
 	s.mu.Unlock()
-	if file == "" {
+	if !onDisk {
 		s.misses.Add(1)
 		return nil, false
 	}
 	// Promote from the disk tier. The entry's checksum is re-verified at
 	// read time; a torn or corrupt entry is evicted so the cold re-parse
 	// that follows recomputes and rewrites it (self-healing).
-	art, ok := s.disk.load(file, retain)
+	art, ok := s.disk.load(key, retain)
 	if !ok {
 		s.diskCorrupt.Add(1)
-		s.disk.remove(file)
+		s.disk.remove(key)
 		s.mu.Lock()
 		delete(s.diskIdx, key)
 		s.mu.Unlock()
@@ -368,10 +365,10 @@ func (s *Store) Add(fs cpp.FileProvider, fingerprint, unit string, includes, mis
 	// complete entry and a crash at any instant leaves either the old
 	// entry, the new entry, or a stripped temp file — never a torn one.
 	if d != nil && art.Tokens != nil {
-		if file, err := d.write(key, fingerprint, unit, unitDigest, deps, art); err == nil {
+		if err := d.write(key, fingerprint, unit, unitDigest, deps, art); err == nil {
 			s.diskWrites.Add(1)
 			s.mu.Lock()
-			s.diskIdx[key] = file
+			s.diskIdx[key] = true
 			s.mu.Unlock()
 		}
 		if !retain {
@@ -415,7 +412,7 @@ func (s *Store) evictLocked() {
 			// The dep list stays if the disk tier still holds the entry:
 			// it is the map from content to key that lets a later lookup
 			// find the on-disk artifact again.
-			if _, onDisk := s.diskIdx[victimKey]; !onDisk {
+			if !s.diskIdx[victimKey] {
 				delete(s.depLists, victim.depKey)
 			}
 		}
@@ -455,18 +452,18 @@ func (s *Store) Flush() {
 	s.mu.Lock()
 	s.entries = make(map[string]*entry)
 	s.depLists = make(map[string]*depList)
-	var files []string
+	var keys []string
 	d := s.disk
 	if d != nil {
-		files = make([]string, 0, len(s.diskIdx))
-		for _, f := range s.diskIdx {
-			files = append(files, f)
+		keys = make([]string, 0, len(s.diskIdx))
+		for k := range s.diskIdx {
+			keys = append(keys, k)
 		}
-		s.diskIdx = make(map[string]string)
+		s.diskIdx = make(map[string]bool)
 	}
 	s.mu.Unlock()
-	for _, f := range files {
-		d.remove(f)
+	for _, k := range keys {
+		d.remove(k)
 	}
 }
 
@@ -482,10 +479,10 @@ func (s *Store) AttachDisk(dir string) error {
 	}
 	s.mu.Lock()
 	s.disk = d
-	s.diskIdx = make(map[string]string, len(scanned))
+	s.diskIdx = make(map[string]bool, len(scanned))
 	for _, e := range scanned {
 		s.depLists[e.depKey] = &depList{deps: e.deps, key: e.key}
-		s.diskIdx[e.key] = e.file
+		s.diskIdx[e.key] = true
 	}
 	s.mu.Unlock()
 	s.diskCorrupt.Add(corrupt)
