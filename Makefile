@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-json bench-gate perfbench-check obs-race service-race serve-smoke fleet-smoke jobs-smoke chaos-fleet-smoke fuzz-smoke soak-smoke chaos-smoke ci
+.PHONY: all build vet test race bench bench-smoke bench-json bench-archive bench-gate perfbench-check obs-race service-race serve-smoke fleet-smoke jobs-smoke chaos-fleet-smoke fuzz-smoke soak-smoke chaos-smoke ci
 
 all: build
 
@@ -29,21 +29,27 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkAnalyze(Serial|Parallel)$$' -benchtime=1x .
 
-# Pipeline + frontend benchmark snapshot: a dated entry is APPENDED to
-# BENCH_trajectory.json, the one archive of these numbers, so every PR's
-# perf claim stays checkable against history (render it with
-# `go run ./cmd/benchtab -trajectory BENCH_trajectory.json`). One
-# iteration each — enough to keep the benchmarks honest in CI; run with
-# BENCHTIME=5x (or more) for stable numbers.
-BENCHTIME ?= 1x
+# Pipeline + frontend benchmarks, one iteration each, through the JSON
+# converter — enough to keep both compiling and honest in CI. Nothing is
+# written: bench-archive is the one target that records numbers.
+BENCHES = '^Benchmark(Analyze(Serial|Parallel|InstrumentedOff|InstrumentedOn|FleetTraceOff|FleetTraceOn)|Scanner|Preprocess|Parse|FleetScatter)$$'
 bench-json:
-	$(GO) test -run='^$$' -bench='^Benchmark(Analyze(Serial|Parallel|InstrumentedOff|InstrumentedOn|FleetTraceOff|FleetTraceOn)|Scanner|Preprocess|Parse|FleetScatter)$$' \
-		-benchtime=$(BENCHTIME) -benchmem . | $(GO) run ./cmd/benchjson -append BENCH_trajectory.json > /dev/null
+	$(GO) test -run='^$$' -bench=$(BENCHES) -benchtime=1x -benchmem . | $(GO) run ./cmd/benchjson > /dev/null
+
+# The same benchmarks at BENCHTIME iterations, APPENDED as a dated entry
+# to BENCH_trajectory.json, the one archive of these numbers, so every
+# PR's perf claim stays checkable against history (render it with
+# `go run ./cmd/benchtab -trajectory BENCH_trajectory.json`). Run it by
+# hand when a number should enter the record; it is not part of ci.
+bench-archive: BENCHTIME ?= 5x
+bench-archive:
+	$(GO) test -run='^$$' -bench=$(BENCHES) -benchtime=$(BENCHTIME) -benchmem . | $(GO) run ./cmd/benchjson -append BENCH_trajectory.json > /dev/null
 
 # Allocation regression gate: fail if BenchmarkAnalyzeParallel allocates
 # more than 20% over the checked-in baseline (BENCH_baseline.json).
 # allocs/op is iteration-count-independent, so one iteration gates
 # reliably where ns/op would be noise.
+bench-gate: BENCHTIME ?= 1x
 bench-gate:
 	$(GO) test -run='^$$' -bench='^BenchmarkAnalyzeParallel$$' -benchtime=$(BENCHTIME) -benchmem . \
 		| $(GO) run ./cmd/benchjson -gate BENCH_baseline.json

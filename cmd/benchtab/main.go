@@ -28,7 +28,7 @@ func main() {
 	table := flag.Int("table", 0, "regenerate one table (1-6)")
 	fig := flag.Int("fig", 0, "regenerate one figure (1-4)")
 	ablations := flag.Bool("ablations", false, "run the design ablations")
-	trajectory := flag.String("trajectory", "", "render the benchmark history a bench-json run appends to this file")
+	trajectory := flag.String("trajectory", "", "render the benchmark history that make bench-archive appends to this file")
 	flag.Parse()
 
 	tables := map[int]func() (string, error){

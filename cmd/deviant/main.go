@@ -488,19 +488,19 @@ func printRules(res *deviant.Result) {
 		if i >= 5 {
 			break
 		}
-		fmt.Printf("  pair:     %s -> %s (%d/%d, z=%.2f)\n", p.A, p.B, p.Examples(), p.Checks, p.Z)
+		fmt.Printf("  pair:     %s -> %s (%d/%d, z=%.2f)\n", p.Key.A, p.Key.B, p.Examples(), p.Checks, p.Z)
 	}
 	for i, d := range res.CanFail {
 		if i >= 5 {
 			break
 		}
-		fmt.Printf("  can-fail: %s (%d/%d, z=%.2f)\n", d.Func, d.Examples(), d.Checks, d.Z)
+		fmt.Printf("  can-fail: %s (%d/%d, z=%.2f)\n", d.Key, d.Examples(), d.Checks, d.Z)
 	}
 	for i, b := range res.LockBindings {
 		if i >= 5 {
 			break
 		}
-		fmt.Printf("  lock:     %s protects %s (%d/%d, z=%.2f)\n", b.Lock, b.Var, b.Examples(), b.Checks, b.Z)
+		fmt.Printf("  lock:     %s protects %s (%d/%d, z=%.2f)\n", b.Key.Lock, b.Key.Var, b.Examples(), b.Checks, b.Z)
 	}
 }
 

@@ -32,7 +32,7 @@ func main() {
 			break
 		}
 		fmt.Printf("  %-18s %-18s %4d/%-4d z=%6.2f boost=%.1f\n",
-			p.A, p.B, p.Examples(), p.Checks, p.Z, p.Boost)
+			p.Key.A, p.Key.B, p.Examples(), p.Checks, p.Z, p.Boost)
 	}
 
 	fmt.Println("\ntemplate: can routine <f> fail?")
@@ -40,7 +40,7 @@ func main() {
 		if i >= 5 {
 			break
 		}
-		fmt.Printf("  %-24s %4d/%-4d z=%6.2f\n", d.Func, d.Examples(), d.Checks, d.Z)
+		fmt.Printf("  %-24s %4d/%-4d z=%6.2f\n", d.Key, d.Examples(), d.Checks, d.Z)
 	}
 	fmt.Println("inverse (routines that never fail):")
 	for i, d := range res.CanFailNever {
@@ -48,7 +48,7 @@ func main() {
 			break
 		}
 		fmt.Printf("  %-24s checked %d of %d uses  z=%6.2f\n",
-			d.Func, d.Examples(), d.Checks, d.Z)
+			d.Key, d.Examples(), d.Checks, d.Z)
 	}
 
 	fmt.Println("\ntemplate: does lock <l> protect <v>?")
@@ -61,7 +61,7 @@ func main() {
 			must = "  [MUST: sole variable of a critical section]"
 		}
 		fmt.Printf("  %-28s by %-28s %4d/%-4d z=%6.2f%s\n",
-			b.Var, b.Lock, b.Examples(), b.Checks, b.Z, must)
+			b.Key.Var, b.Key.Lock, b.Examples(), b.Checks, b.Z, must)
 	}
 
 	fmt.Println("\ntemplate: does security check <y> protect <x>?")
@@ -70,7 +70,7 @@ func main() {
 			break
 		}
 		fmt.Printf("  %s guards %-24s %4d/%-4d z=%6.2f\n",
-			d.Check, d.Action, d.Examples(), d.Checks, d.Z)
+			d.Key.Check, d.Key.Action, d.Examples(), d.Checks, d.Z)
 	}
 
 	fmt.Println("\ntemplate: does <a> reverse <b> on error paths?")
@@ -79,7 +79,7 @@ func main() {
 			break
 		}
 		fmt.Printf("  %-18s undone by %-18s %4d/%-4d z=%6.2f\n",
-			r.Forward, r.Undo, r.Examples(), r.Checks, r.Z)
+			r.Key.A, r.Key.B, r.Examples(), r.Checks, r.Z)
 	}
 
 	fmt.Println("\ntemplate: must <f> be called with interrupts disabled?")
@@ -87,6 +87,6 @@ func main() {
 		if i >= 3 {
 			break
 		}
-		fmt.Printf("  %-24s %4d/%-4d z=%6.2f\n", d.Func, d.Examples(), d.Checks, d.Z)
+		fmt.Printf("  %-24s %4d/%-4d z=%6.2f\n", d.Key, d.Examples(), d.Checks, d.Z)
 	}
 }

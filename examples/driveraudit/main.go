@@ -68,17 +68,17 @@ func main() {
 	if len(res.Pairs) > 0 {
 		p := res.Pairs[0]
 		fmt.Printf("  pairing:   %s must be paired with %s (%d/%d, z=%.2f)\n",
-			p.A, p.B, p.Examples(), p.Checks, p.Z)
+			p.Key.A, p.Key.B, p.Examples(), p.Checks, p.Z)
 	}
 	if len(res.CanFail) > 0 {
 		d := res.CanFail[0]
 		fmt.Printf("  can fail:  %s (%d/%d callers check it, z=%.2f)\n",
-			d.Func, d.Examples(), d.Checks, d.Z)
+			d.Key, d.Examples(), d.Checks, d.Z)
 	}
 	if len(res.LockBindings) > 0 {
 		lb := res.LockBindings[0]
 		fmt.Printf("  locking:   %s protects %s (%d/%d, z=%.2f)\n",
-			lb.Lock, lb.Var, lb.Examples(), lb.Checks, lb.Z)
+			lb.Key.Lock, lb.Key.Var, lb.Examples(), lb.Checks, lb.Z)
 	}
 
 	ranked := res.Reports.Ranked()

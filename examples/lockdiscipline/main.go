@@ -55,7 +55,7 @@ func main() {
 			must = "MUST (sole variable of bar's critical section)"
 		}
 		fmt.Printf("  (%s, %s): %d checks, %d errors, z=%.2f  [%s]\n",
-			b.Var, b.Lock, b.Checks, b.Errors, b.Z, must)
+			b.Key.Var, b.Key.Lock, b.Checks, b.Errors, b.Z, must)
 	}
 	fmt.Println()
 	fmt.Println("paper's expectation: (a,l)=4 checks/1 error, (b,l)=3 checks/2 errors")

@@ -12,7 +12,7 @@ package fail
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
 	"deviant/internal/cast"
 	"deviant/internal/ctoken"
@@ -22,29 +22,16 @@ import (
 	"deviant/internal/stats"
 )
 
-// maxSitesPerFunc bounds recorded unchecked-use sites per callee.
-const maxSitesPerFunc = 64
-
 // Checker accumulates evidence across a program.
 type Checker struct {
 	conv *latent.Conventions
 	p0   float64
-
-	pop      *stats.Population       // key: callee name
-	errSites map[string][]ctoken.Pos // unchecked dereference sites
-	// checkSites records one example site per callee for diagnostics.
-	checkSites map[string]ctoken.Pos
+	ev   stats.Evidence[string] // key: callee; counter-example: unchecked dereference
 }
 
 // New returns an empty can-fail deriver.
 func New(conv *latent.Conventions) *Checker {
-	return &Checker{
-		conv:       conv,
-		p0:         stats.DefaultP0,
-		pop:        stats.NewPopulation(),
-		errSites:   make(map[string][]ctoken.Pos),
-		checkSites: make(map[string]ctoken.Pos),
-	}
+	return &Checker{conv: conv, p0: stats.DefaultP0}
 }
 
 // Name implements engine.Checker.
@@ -162,14 +149,7 @@ func (c *Checker) Event(st engine.State, ev *engine.Event, ctx *engine.Ctx) {
 		}
 		// One outcome per tracked result: either it was checked first
 		// (example) or this dereference is unchecked (counter-example).
-		c.pop.Check(tr.callee, !tr.checked)
-		if !tr.checked {
-			if len(c.errSites[tr.callee]) < maxSitesPerFunc {
-				c.errSites[tr.callee] = append(c.errSites[tr.callee], ev.Pos)
-			}
-		} else if _, seen := c.checkSites[tr.callee]; !seen {
-			c.checkSites[tr.callee] = ev.Pos
-		}
+		c.ev.Check(tr.callee, !tr.checked, ev.Pos)
 		delete(s.vars, k)
 	}
 }
@@ -249,93 +229,45 @@ func (c *Checker) FuncEnd(engine.State, *engine.Ctx) {}
 // worker's shard of functions.
 func (c *Checker) Fork() *Checker { f := New(c.conv); f.p0 = c.p0; return f }
 
-// Merge folds a fork's evidence into c: counters sum, error-site lists
-// concatenate in merge order (re-truncated to the cap), and the earliest
-// merge wins a callee's representative check site — so folding shards in
-// function order reproduces the serial accumulators exactly.
-func (c *Checker) Merge(o *Checker) {
-	c.pop.Merge(o.pop)
-	for k, v := range o.errSites {
-		s := append(c.errSites[k], v...)
-		if len(s) > maxSitesPerFunc {
-			s = s[:maxSitesPerFunc]
-		}
-		c.errSites[k] = s
-	}
-	for k, v := range o.checkSites {
-		if _, ok := c.checkSites[k]; !ok {
-			c.checkSites[k] = v
-		}
-	}
-}
+// Merge folds a fork's evidence into c (see stats.Evidence.Merge), so
+// folding shards in function order reproduces the serial evidence.
+func (c *Checker) Merge(o *Checker) { c.ev.Merge(&o.ev) }
 
 // Derived is the evidence for one routine.
-type Derived struct {
-	Func string
-	stats.Counter
-	Z     float64
-	Boost float64
+type Derived = stats.Instance[string]
+
+// Ranked returns the derived "can fail" instances ordered by score (z
+// plus an allocator-name boost).
+func (c *Checker) Ranked() []Derived {
+	return c.ev.Rank(stats.Order[string]{P0: c.p0, Boost: c.allocBoost, Compare: strings.Compare})
 }
 
-// Score is the ranking score (z plus allocator-name boost).
-func (d Derived) Score() float64 { return d.Z + d.Boost }
-
-// Ranked returns the derived "can fail" instances ordered by score.
-func (c *Checker) Ranked() []Derived {
-	var out []Derived
-	for _, key := range c.pop.Keys() {
-		cnt := c.pop.Get(key)
-		boost := 0.0
-		if c.conv.LooksAlloc(key) {
-			boost = 1.0
-		}
-		out = append(out, Derived{Func: key, Counter: cnt, Z: cnt.Z(c.p0), Boost: boost})
+// allocBoost is the latent-specification bonus for allocator-like names.
+func (c *Checker) allocBoost(fn string) float64 {
+	if c.conv.LooksAlloc(fn) {
+		return 1
 	}
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := out[i].Score(), out[j].Score()
-		if si != sj {
-			return si > sj
-		}
-		return out[i].Func < out[j].Func
-	})
-	return out
+	return 0
 }
 
 // InverseRanked ranks the negated template "F never fails" (§5's inverse
 // principle): functions whose results are essentially never checked.
 func (c *Checker) InverseRanked() []Derived {
-	var out []Derived
-	for _, key := range c.pop.Keys() {
-		cnt := c.pop.Get(key)
-		out = append(out, Derived{
-			Func: key, Counter: cnt,
-			Z: stats.ZInverse(cnt.Checks, cnt.Examples(), c.p0),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Z != out[j].Z {
-			return out[i].Z > out[j].Z
-		}
-		return out[i].Func < out[j].Func
-	})
-	return out
+	return c.ev.Rank(stats.Order[string]{P0: c.p0, Inverse: true, Compare: strings.Compare})
 }
 
 // Counter exposes one routine's evidence.
-func (c *Checker) Counter(fn string) stats.Counter { return c.pop.Get(fn) }
+func (c *Checker) Counter(fn string) stats.Counter { return c.ev.Counter(fn) }
 
 // Finish reports unchecked uses of results from routines that are checked
-// elsewhere, ranked by the routine's z.
+// elsewhere, ranked by the routine's score.
 func (c *Checker) Finish(col *report.Collector) {
 	for _, d := range c.Ranked() {
-		if d.Errors == 0 || d.Examples() == 0 {
-			continue
-		}
-		rule := fmt.Sprintf("result of %s must be checked before use", d.Func)
-		for _, pos := range c.errSites[d.Func] {
-			col.AddStat("fail", rule, pos, d.Score(), d.Checks, d.Examples(),
+		if d.Reportable(stats.AnyEvidence) {
+			col.AddStats("fail", fmt.Sprintf("result of %s must be checked before use", d.Key),
+				c.ev.Sites(d.Key), d.Score(), d.Counter,
 				fmt.Sprintf("result of %s dereferenced without a check; %d/%d callers check it",
-					d.Func, d.Examples(), d.Checks))
+					d.Key, d.Examples(), d.Checks))
 		}
 	}
 }

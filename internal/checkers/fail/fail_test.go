@@ -118,7 +118,7 @@ void h(void) {
 `
 	c, _ := run(t, src)
 	inv := c.InverseRanked()
-	if len(inv) == 0 || inv[0].Func != "get_current" {
+	if len(inv) == 0 || inv[0].Key != "get_current" {
 		t.Errorf("inverse ranking should put never-fails first: %+v", inv)
 	}
 }
@@ -138,7 +138,7 @@ void g(void) {
 `
 	c, _ := run(t, src)
 	r := c.Ranked()
-	if len(r) != 2 || r[0].Func != "dev_alloc" {
+	if len(r) != 2 || r[0].Key != "dev_alloc" {
 		t.Errorf("alloc boost should win ties: %+v", r)
 	}
 }

@@ -8,38 +8,27 @@ package intr
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
 	"deviant/internal/cast"
-	"deviant/internal/ctoken"
 	"deviant/internal/engine"
 	"deviant/internal/latent"
 	"deviant/internal/report"
 	"deviant/internal/stats"
 )
 
-// maxSites bounds recorded sites per callee.
-const maxSites = 64
-
 // Checker accumulates interrupt-context evidence across a program.
 type Checker struct {
 	conv *latent.Conventions
 	p0   float64
-
-	pop          *stats.Population       // key: callee; example = called disabled
-	enabledSites map[string][]ctoken.Pos // calls made with interrupts enabled
-	disabledSite map[string][]ctoken.Pos // calls made with interrupts disabled
+	// Key: callee; example: called with interrupts disabled;
+	// counter-example: called with them enabled.
+	ev stats.Evidence[string]
 }
 
 // New returns an empty interrupt-discipline checker.
 func New(conv *latent.Conventions) *Checker {
-	return &Checker{
-		conv:         conv,
-		p0:           stats.DefaultP0,
-		pop:          stats.NewPopulation(),
-		enabledSites: make(map[string][]ctoken.Pos),
-		disabledSite: make(map[string][]ctoken.Pos),
-	}
+	return &Checker{conv: conv, p0: stats.DefaultP0}
 }
 
 // Name implements engine.Checker.
@@ -105,16 +94,7 @@ func (c *Checker) Event(st engine.State, ev *engine.Event, ctx *engine.Ctx) {
 	case c.conv.IntrEnable[name]:
 		s.disabled = false
 	default:
-		c.pop.Check(name, !s.disabled)
-		if s.disabled {
-			if len(c.disabledSite[name]) < maxSites {
-				c.disabledSite[name] = append(c.disabledSite[name], ev.Pos)
-			}
-		} else {
-			if len(c.enabledSites[name]) < maxSites {
-				c.enabledSites[name] = append(c.enabledSites[name], ev.Pos)
-			}
-		}
+		c.ev.Check(name, !s.disabled, ev.Pos)
 	}
 }
 
@@ -128,84 +108,38 @@ func (c *Checker) FuncEnd(engine.State, *engine.Ctx) {}
 // worker's shard of functions.
 func (c *Checker) Fork() *Checker { f := New(c.conv); f.p0 = c.p0; return f }
 
-// Merge folds a fork's evidence into c: counters sum, site lists
-// concatenate in merge order and re-truncate to the cap.
-func (c *Checker) Merge(o *Checker) {
-	c.pop.Merge(o.pop)
-	mergeSites(c.enabledSites, o.enabledSites)
-	mergeSites(c.disabledSite, o.disabledSite)
-}
+// Merge folds a fork's evidence into c (see stats.Evidence.Merge).
+func (c *Checker) Merge(o *Checker) { c.ev.Merge(&o.ev) }
 
-func mergeSites(dst, src map[string][]ctoken.Pos) {
-	for k, v := range src {
-		s := append(dst[k], v...)
-		if len(s) > maxSites {
-			s = s[:maxSites]
-		}
-		dst[k] = s
-	}
-}
-
-// Derived is one routine's interrupt-context evidence.
-type Derived struct {
-	Func          string
-	stats.Counter // Checks = all calls; Errors = calls with intr enabled
-	Z             float64
-}
+// Derived is one routine's interrupt-context evidence: Checks = all
+// calls, Errors = calls with interrupts enabled.
+type Derived = stats.Instance[string]
 
 // Ranked orders routines by how strongly the code believes they need
 // interrupts disabled.
 func (c *Checker) Ranked() []Derived {
-	var out []Derived
-	for _, key := range c.pop.Keys() {
-		cnt := c.pop.Get(key)
-		out = append(out, Derived{Func: key, Counter: cnt, Z: cnt.Z(c.p0)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Z != out[j].Z {
-			return out[i].Z > out[j].Z
-		}
-		return out[i].Func < out[j].Func
-	})
-	return out
+	return c.ev.Rank(stats.Order[string]{P0: c.p0, Compare: strings.Compare})
 }
 
 // InverseRanked orders routines by how strongly the code believes they
 // must be called with interrupts enabled.
 func (c *Checker) InverseRanked() []Derived {
-	var out []Derived
-	for _, key := range c.pop.Keys() {
-		cnt := c.pop.Get(key)
-		out = append(out, Derived{
-			Func: key, Counter: cnt,
-			Z: stats.ZInverse(cnt.Checks, cnt.Examples(), c.p0),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Z != out[j].Z {
-			return out[i].Z > out[j].Z
-		}
-		return out[i].Func < out[j].Func
-	})
-	return out
+	return c.ev.Rank(stats.Order[string]{P0: c.p0, Inverse: true, Compare: strings.Compare})
 }
 
 // Counter exposes one routine's evidence.
-func (c *Checker) Counter(fn string) stats.Counter { return c.pop.Get(fn) }
+func (c *Checker) Counter(fn string) stats.Counter { return c.ev.Counter(fn) }
 
 // Finish reports enabled-context calls to routines usually called with
 // interrupts disabled, ranked by z. Routines with no disabled-context
 // examples are coincidences and stay silent.
 func (c *Checker) Finish(col *report.Collector) {
 	for _, d := range c.Ranked() {
-		if d.Errors == 0 || d.Examples() == 0 {
-			continue
-		}
-		rule := fmt.Sprintf("%s must be called with interrupts disabled", d.Func)
-		for _, pos := range c.enabledSites[d.Func] {
-			col.AddStat("intr", rule, pos, d.Z, d.Checks, d.Examples(),
+		if d.Reportable(stats.AnyEvidence) {
+			col.AddStats("intr", fmt.Sprintf("%s must be called with interrupts disabled", d.Key),
+				c.ev.Sites(d.Key), d.Score(), d.Counter,
 				fmt.Sprintf("%s called with interrupts enabled; %d/%d call sites disable them",
-					d.Func, d.Examples(), d.Checks))
+					d.Key, d.Examples(), d.Checks))
 		}
 	}
 }

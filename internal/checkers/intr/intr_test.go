@@ -90,7 +90,7 @@ void h(void) { cli(); hw_op(); sti(); }
 `
 	c, _ := run(t, src)
 	inv := c.InverseRanked()
-	if len(inv) == 0 || inv[0].Func != "might_sleep_fn" {
+	if len(inv) == 0 || inv[0].Key != "might_sleep_fn" {
 		t.Errorf("inverse should rank always-enabled first: %+v", inv)
 	}
 }

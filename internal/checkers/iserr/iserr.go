@@ -6,13 +6,15 @@
 // a routine nobody else checks that way is itself flagged (the inverse
 // direction).
 //
-// The two directions are separated by majority: the minority side's sites
-// are the errors, ranked by the z statistic of the majority's evidence.
+// The two directions are the template "must use IS_ERR" and its inverse,
+// counted from the same observations. Each routine is ranked on its
+// majority side: the minority side's sites are the errors, ranked by the
+// z statistic of the majority's evidence.
 package iserr
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
 	"deviant/internal/cast"
 	"deviant/internal/ctoken"
@@ -22,32 +24,21 @@ import (
 	"deviant/internal/stats"
 )
 
-// maxSites bounds recorded sites per callee per side.
-const maxSites = 64
-
 // Checker accumulates IS_ERR usage evidence across a program.
 type Checker struct {
 	conv *latent.Conventions
 	p0   float64
 
-	// Per callee: how many results were IS_ERR-checked vs. used/checked
-	// otherwise, with representative sites for both sides.
-	isErrCount map[string]int
-	otherCount map[string]int
-	otherSites map[string][]ctoken.Pos
-	isErrSites map[string][]ctoken.Pos
+	// Per callee, one observation per resolved result, counted twice:
+	// use has "must use IS_ERR" (counter-example: any other use) and
+	// never its inverse (counter-example: an IS_ERR check), so each side
+	// keeps its own sites until the majority picks one.
+	use, never stats.Evidence[string]
 }
 
 // New returns an empty IS_ERR checker.
 func New(conv *latent.Conventions) *Checker {
-	return &Checker{
-		conv:       conv,
-		p0:         stats.DefaultP0,
-		isErrCount: make(map[string]int),
-		otherCount: make(map[string]int),
-		otherSites: make(map[string][]ctoken.Pos),
-		isErrSites: make(map[string][]ctoken.Pos),
-	}
+	return &Checker{conv: conv, p0: stats.DefaultP0}
 }
 
 // Name implements engine.Checker.
@@ -178,11 +169,15 @@ func (c *Checker) resolveOther(s *state, key string, pos ctoken.Pos) {
 	if !ok {
 		return
 	}
-	c.otherCount[tr.callee]++
-	if len(c.otherSites[tr.callee]) < maxSites {
-		c.otherSites[tr.callee] = append(c.otherSites[tr.callee], pos)
-	}
+	c.observe(tr.callee, false, pos)
 	delete(s.vars, key)
+}
+
+// observe counts one resolved result of callee: checked with IS_ERR, or
+// used some other way.
+func (c *Checker) observe(callee string, isErr bool, pos ctoken.Pos) {
+	c.use.Check(callee, !isErr, pos)
+	c.never.Check(callee, isErr, pos)
 }
 
 // Branch implements engine.Checker: IS_ERR(v) resolves v's instance as
@@ -199,10 +194,7 @@ func (c *Checker) Branch(st engine.State, cond cast.Expr, val bool, ctx *engine.
 			key := keyOf(call.Args[0])
 			if tr, ok := s.vars[key]; ok {
 				if val {
-					c.isErrCount[tr.callee]++
-					if len(c.isErrSites[tr.callee]) < maxSites {
-						c.isErrSites[tr.callee] = append(c.isErrSites[tr.callee], cond.Pos())
-					}
+					c.observe(tr.callee, true, cond.Pos())
 				}
 				delete(s.vars, key)
 			}
@@ -254,69 +246,39 @@ func (c *Checker) FuncEnd(engine.State, *engine.Ctx) {}
 // worker's shard of functions.
 func (c *Checker) Fork() *Checker { f := New(c.conv); f.p0 = c.p0; return f }
 
-// Merge folds a fork's evidence into c. Counts are sums; site lists
-// concatenate in merge order and re-truncate, so folding shards in
-// function order reproduces the serial site lists exactly (per-shard
-// truncation only ever drops sites past the global cap).
+// Merge folds a fork's evidence into c (see stats.Evidence.Merge).
 func (c *Checker) Merge(o *Checker) {
-	for k, v := range o.isErrCount {
-		c.isErrCount[k] += v
-	}
-	for k, v := range o.otherCount {
-		c.otherCount[k] += v
-	}
-	mergeSites(c.isErrSites, o.isErrSites)
-	mergeSites(c.otherSites, o.otherSites)
+	c.use.Merge(&o.use)
+	c.never.Merge(&o.never)
 }
 
-func mergeSites(dst, src map[string][]ctoken.Pos) {
-	for k, v := range src {
-		s := append(dst[k], v...)
-		if len(s) > maxSites {
-			s = s[:maxSites]
-		}
-		dst[k] = s
-	}
-}
-
-// Derived is the IS_ERR evidence for one routine.
+// Derived is the IS_ERR evidence for one routine, counted on its
+// majority side: Errors are the minority's results.
 type Derived struct {
-	Func           string
-	IsErrChecked   int // results checked with IS_ERR
-	CheckedOtherly int // results used or checked some other way
-	Z              float64
-	// MustUseIsErr is true when the IS_ERR side is the majority.
+	stats.Instance[string]
+	// MustUseIsErr is true when the IS_ERR side is the majority (ties
+	// included).
 	MustUseIsErr bool
 }
 
-// Ranked returns per-routine evidence ordered by |z| of the majority
+// mustUse reports whether IS_ERR checks are the majority of a routine's
+// results, given its "must use IS_ERR" counter.
+func mustUse(use stats.Counter) bool { return 2*use.Errors <= use.Checks }
+
+// Ranked returns per-routine evidence ordered by the z of the majority
 // belief.
 func (c *Checker) Ranked() []Derived {
-	names := map[string]bool{}
-	for n := range c.isErrCount {
-		names[n] = true
-	}
-	for n := range c.otherCount {
-		names[n] = true
-	}
-	var out []Derived
-	for n := range names {
-		ie, ot := c.isErrCount[n], c.otherCount[n]
-		total := ie + ot
-		d := Derived{Func: n, IsErrChecked: ie, CheckedOtherly: ot, MustUseIsErr: ie >= ot}
-		if d.MustUseIsErr {
-			d.Z = stats.Z(total, ie, c.p0)
-		} else {
-			d.Z = stats.Z(total, ot, c.p0)
+	ins := c.use.Instances()
+	for i, in := range ins {
+		if !mustUse(in.Counter) {
+			ins[i].Counter = c.never.Counter(in.Key)
 		}
-		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Z != out[j].Z {
-			return out[i].Z > out[j].Z
-		}
-		return out[i].Func < out[j].Func
-	})
+	ranked := stats.Rank(ins, stats.Order[string]{P0: c.p0, Compare: strings.Compare})
+	out := make([]Derived, len(ranked))
+	for i, in := range ranked {
+		out[i] = Derived{Instance: in, MustUseIsErr: mustUse(c.use.Counter(in.Key))}
+	}
 	return out
 }
 
@@ -325,24 +287,19 @@ func (c *Checker) Ranked() []Derived {
 // z.
 func (c *Checker) Finish(col *report.Collector) {
 	for _, d := range c.Ranked() {
-		if d.IsErrChecked == 0 || d.CheckedOtherly == 0 {
-			continue // no contradiction
+		if !d.Reportable(stats.AnyEvidence) {
+			continue
 		}
-		total := d.IsErrChecked + d.CheckedOtherly
 		if d.MustUseIsErr {
-			rule := fmt.Sprintf("result of %s must be checked with IS_ERR", d.Func)
-			for _, pos := range c.otherSites[d.Func] {
-				col.AddStat("iserr", rule, pos, d.Z, total, d.IsErrChecked,
-					fmt.Sprintf("result of %s used without IS_ERR check (%d/%d callers use IS_ERR); a null test misses encoded error pointers",
-						d.Func, d.IsErrChecked, total))
-			}
+			col.AddStats("iserr", fmt.Sprintf("result of %s must be checked with IS_ERR", d.Key),
+				c.use.Sites(d.Key), d.Score(), d.Counter,
+				fmt.Sprintf("result of %s used without IS_ERR check (%d/%d callers use IS_ERR); a null test misses encoded error pointers",
+					d.Key, d.Examples(), d.Checks))
 		} else {
-			rule := fmt.Sprintf("result of %s must never be checked with IS_ERR", d.Func)
-			for _, pos := range c.isErrSites[d.Func] {
-				col.AddStat("iserr", rule, pos, d.Z, total, d.CheckedOtherly,
-					fmt.Sprintf("IS_ERR applied to result of %s, which %d/%d callers treat as a plain pointer",
-						d.Func, d.CheckedOtherly, total))
-			}
+			col.AddStats("iserr", fmt.Sprintf("result of %s must never be checked with IS_ERR", d.Key),
+				c.never.Sites(d.Key), d.Score(), d.Counter,
+				fmt.Sprintf("IS_ERR applied to result of %s, which %d/%d callers treat as a plain pointer",
+					d.Key, d.Examples(), d.Checks))
 		}
 	}
 }

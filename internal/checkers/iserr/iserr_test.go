@@ -149,10 +149,12 @@ void b(void) {
 `
 	c, _ := run(t, src)
 	r := c.Ranked()
-	if len(r) != 1 || r[0].Func != "fn_a" {
+	if len(r) != 1 || r[0].Key != "fn_a" {
 		t.Fatalf("ranked: %+v", r)
 	}
-	if r[0].IsErrChecked != 1 || r[0].CheckedOtherly != 1 {
+	// A tie counts for IS_ERR: one IS_ERR check (the example) against one
+	// other use (the error).
+	if r[0].Checks != 2 || r[0].Errors != 1 || !r[0].MustUseIsErr {
 		t.Errorf("counts: %+v", r[0])
 	}
 }
@@ -171,7 +173,7 @@ void b(void) {
 `
 	c, _ := run(t, src)
 	r := c.Ranked()
-	if len(r) != 1 || r[0].CheckedOtherly != 1 {
+	if len(r) != 1 || r[0].Checks != 2 || r[0].Errors != 1 || !r[0].MustUseIsErr {
 		t.Errorf("passing should resolve as other: %+v", r)
 	}
 }
@@ -190,7 +192,7 @@ void a(void) {
 `
 	c, _ := run(t, src)
 	r := c.Ranked()
-	if len(r) != 1 || r[0].CheckedOtherly != 1 || r[0].IsErrChecked != 1 {
+	if len(r) != 1 || r[0].Checks != 2 || r[0].Errors != 1 || !r[0].MustUseIsErr {
 		t.Errorf("return should resolve as other: %+v", r)
 	}
 }

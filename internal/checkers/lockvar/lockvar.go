@@ -14,7 +14,6 @@ package lockvar
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -26,9 +25,6 @@ import (
 	"deviant/internal/report"
 	"deviant/internal/stats"
 )
-
-// maxSitesPerPair bounds recorded error sites per (v, l) instance.
-const maxSitesPerPair = 64
 
 // Checker accumulates lock/variable evidence across a whole program.
 type Checker struct {
@@ -46,18 +42,17 @@ type Checker struct {
 	// pair table ever exists: Bindings enumerates heldAt, the pairs with
 	// at least one example.
 	accesses map[string]int // v → shared accesses (= Checks of every pair of v)
-	heldAt   map[vl]int     // (v, l) → accesses of v made while l held (= Examples)
-	must     map[vl]bool    // promoted MUST pairs (single-var critical sections)
-	mustSite map[vl]ctoken.Pos
+	heldAt   map[Key]int    // (v, l) → accesses of v made while l held (= Examples)
+	must     map[Key]bool   // promoted MUST pairs (single-var critical sections)
 
 	// Unprotected access sites, as one flat event-ordered log keyed by
 	// (v, held-set signature): the record is an error site for every
 	// candidate (v, l) whose lock is absent from the signature. siteN
 	// caps records per (v, signature) — retaining each signature's first
-	// maxSitesPerPair records retains every pair's first
-	// maxSitesPerPair matching records, which is all reporting reads.
+	// stats.MaxSites records retains every pair's first stats.MaxSites
+	// matching records, which is all reporting reads.
 	siteLog []siteRec
-	siteN   map[vl]int // key: {v, sig}
+	siteN   map[Key]int // key: {v, signature}
 
 	// Fork-local hot-path caches (single goroutine each): slot keys and
 	// lock ids are functions of the AST node alone, and the engine
@@ -68,10 +63,9 @@ type Checker struct {
 	bindings []Binding // memoized Bindings(); nil = stale
 }
 
-// vl identifies one (variable, lock) candidate pair. In the site log an
-// empty lock means the record applies to every pair of the variable.
-type vl struct {
-	v, l string
+// Key identifies one (variable, lock) candidate pair.
+type Key struct {
+	Var, Lock string
 }
 
 // siteRec is one recorded shared-variable access with the lock-set held
@@ -96,22 +90,21 @@ func sigHas(sig, l string) bool {
 	return false
 }
 
-// vlLess orders pairs exactly as the former "v+\"@\"+l" string keys
-// sorted, without building them: when one variable is a strict prefix of
-// the other, the shorter key continues with '@' where the longer
-// continues with the next byte of its variable (e.g. "a.b@…" < "a@…"
-// because '.' < '@').
-func vlLess(a, b vl) bool {
-	if a.v != b.v {
-		if strings.HasPrefix(b.v, a.v) {
-			return '@' < b.v[len(a.v)]
-		}
-		if strings.HasPrefix(a.v, b.v) {
-			return a.v[len(b.v)] < '@'
-		}
-		return a.v < b.v
+// compareKeys orders pairs exactly as the former "v+\"@\"+l" string
+// keys sorted, without building them: when one variable is a strict
+// prefix of the other, the shorter key continues with '@' where the
+// longer continues with the next byte of its variable (e.g. "a.b@…" <
+// "a@…" because '.' < '@').
+func compareKeys(a, b Key) int {
+	switch {
+	case a.Var == b.Var:
+		return strings.Compare(a.Lock, b.Lock)
+	case strings.HasPrefix(b.Var, a.Var):
+		return int('@') - int(b.Var[len(a.Var)])
+	case strings.HasPrefix(a.Var, b.Var):
+		return int(a.Var[len(b.Var)]) - int('@')
 	}
-	return a.l < b.l
+	return strings.Compare(a.Var, b.Var)
 }
 
 // New builds a checker for prog. The pre-pass derives the lock universe
@@ -125,10 +118,9 @@ func New(prog *csem.Program, conv *latent.Conventions) *Checker {
 		locks:    make(map[string]bool),
 		p0:       stats.DefaultP0,
 		accesses: make(map[string]int),
-		heldAt:   make(map[vl]int),
-		must:     make(map[vl]bool),
-		mustSite: make(map[vl]ctoken.Pos),
-		siteN:    make(map[vl]int),
+		heldAt:   make(map[Key]int),
+		must:     make(map[Key]bool),
+		siteN:    make(map[Key]int),
 		keyCache: make(map[cast.Expr]string),
 		lockIDs:  make(map[*cast.CallExpr]string),
 	}
@@ -264,9 +256,7 @@ func (c *Checker) promoteSingleVarSections(fd *cast.FuncDecl) {
 				if rel, relID := c.lockCall(cs.List[j], false); rel != nil && relID == lockID {
 					if len(vars) == 1 {
 						for v := range vars {
-							key := vl{v, lockID}
-							c.must[key] = true
-							c.mustSite[key] = lock.Lparen
+							c.must[Key{v, lockID}] = true
 						}
 					}
 					break
@@ -523,10 +513,10 @@ func (c *Checker) Event(st engine.State, ev *engine.Event, ctx *engine.Ctx) {
 		for v := range s.stmtVars {
 			c.accesses[v]++
 			for l := range s.held {
-				c.heldAt[vl{v, l}]++
+				c.heldAt[Key{v, l}]++
 			}
-			k := vl{v, sig}
-			if c.siteN[k] < maxSitesPerPair {
+			k := Key{v, sig}
+			if c.siteN[k] < stats.MaxSites {
 				c.siteN[k]++
 				c.siteLog = append(c.siteLog, siteRec{v: v, sig: sig, pos: ev.Pos})
 			}
@@ -553,10 +543,9 @@ func (c *Checker) Fork() *Checker {
 		locks:    c.locks,
 		p0:       c.p0,
 		accesses: make(map[string]int),
-		heldAt:   make(map[vl]int),
+		heldAt:   make(map[Key]int),
 		must:     c.must,
-		mustSite: c.mustSite,
-		siteN:    make(map[vl]int),
+		siteN:    make(map[Key]int),
 		keyCache: make(map[cast.Expr]string),
 		lockIDs:  make(map[*cast.CallExpr]string),
 	}
@@ -581,8 +570,8 @@ func (c *Checker) Merge(o *Checker) {
 		c.heldAt[k] += n
 	}
 	for _, r := range o.siteLog {
-		k := vl{r.v, r.sig}
-		if c.siteN[k] < maxSitesPerPair {
+		k := Key{r.v, r.sig}
+		if c.siteN[k] < stats.MaxSites {
 			c.siteN[k]++
 			c.siteLog = append(c.siteLog, r)
 		}
@@ -594,41 +583,28 @@ func (c *Checker) Merge(o *Checker) {
 
 // Binding reports the evidence for one (variable, lock) candidate.
 type Binding struct {
-	Var, Lock string
-	stats.Counter
-	Z    float64
+	stats.Instance[Key]
 	Must bool // promoted by the single-variable critical-section rule
 }
 
 // Bindings returns the candidate (v, l) instances — the pairs with at
 // least one example, i.e. v accessed while l held — ranked by z, ties in
-// vlLess order. The ranking is memoized; new evidence via Event or Merge
-// invalidates it. Results-stage callers (Finish, SpuriousLocks, the
-// pipeline's LockBindings) therefore share one sort.
+// compareKeys order. The ranking is memoized; new evidence via Event or
+// Merge invalidates it. Results-stage callers (Finish, SpuriousLocks,
+// the pipeline's LockBindings) therefore share one sort.
 func (c *Checker) Bindings() []Binding {
 	if c.bindings != nil {
 		return c.bindings
 	}
-	out := make([]Binding, 0, len(c.heldAt))
+	ins := make([]stats.Instance[Key], 0, len(c.heldAt))
 	for k, held := range c.heldAt {
-		n := c.accesses[k.v]
-		cnt := stats.Counter{Checks: n, Errors: n - held}
-		out = append(out, Binding{
-			Var: k.v, Lock: k.l, Counter: cnt, Z: cnt.Z(c.p0), Must: c.must[k],
-		})
+		n := c.accesses[k.Var]
+		ins = append(ins, stats.Instance[Key]{Key: k, Counter: stats.Counter{Checks: n, Errors: n - held}})
 	}
-	slices.SortFunc(out, func(a, b Binding) int {
-		if a.Z != b.Z {
-			if a.Z > b.Z {
-				return -1
-			}
-			return 1
-		}
-		if vlLess(vl{a.Var, a.Lock}, vl{b.Var, b.Lock}) {
-			return -1
-		}
-		return 1
-	})
+	out := make([]Binding, len(ins))
+	for i, in := range stats.Rank(ins, stats.Order[Key]{P0: c.p0, Compare: compareKeys}) {
+		out[i] = Binding{Instance: in, Must: c.must[in.Key]}
+	}
 	c.bindings = out
 	return out
 }
@@ -640,7 +616,7 @@ func (c *Checker) Counter(v, l string) stats.Counter {
 	if n == 0 {
 		return stats.Counter{}
 	}
-	return stats.Counter{Checks: n, Errors: n - c.heldAt[vl{v, l}]}
+	return stats.Counter{Checks: n, Errors: n - c.heldAt[Key{v, l}]}
 }
 
 // SpuriousLocks returns locks for which no variable reaches minZ — in
@@ -653,8 +629,8 @@ func (c *Checker) SpuriousLocks(minZ float64) []string {
 		best[l] = -1 << 30
 	}
 	for _, b := range c.Bindings() {
-		if b.Z > best[b.Lock] {
-			best[b.Lock] = b.Z
+		if b.Z > best[b.Key.Lock] {
+			best[b.Key.Lock] = b.Z
 		}
 	}
 	var out []string
@@ -670,48 +646,42 @@ func (c *Checker) SpuriousLocks(minZ float64) []string {
 // Finish emits ranked error reports: every unprotected access of v for a
 // plausible (v, l) binding. Promoted MUST pairs report as definite errors.
 func (c *Checker) Finish(col *report.Collector) {
-	// Reportable bindings: errors exist. Every binding is plausible —
-	// pairs never held while used are coincidences, not protection
-	// protocols, and Bindings never enumerates them. Index them by
-	// variable first so one pass over the site log, in event order,
-	// distributes every binding's first maxSitesPerPair unprotected
-	// accesses.
+	// Every binding is plausible — pairs never held while used are
+	// coincidences, not protection protocols, and Bindings never
+	// enumerates them. Index the reportable ones by variable first so one
+	// pass over the site log, in event order, distributes every binding's
+	// unprotected accesses under the stats.AppendSites cap.
 	bindings := c.Bindings()
 	byVar := make(map[string][]int)
-	nRep := 0
 	for i := range bindings {
-		b := &bindings[i]
-		if b.Errors == 0 {
-			continue
+		if b := &bindings[i]; b.Reportable(stats.AnyEvidence) {
+			byVar[b.Key.Var] = append(byVar[b.Key.Var], i)
 		}
-		byVar[b.Var] = append(byVar[b.Var], i)
-		nRep++
 	}
-	if nRep == 0 {
+	if len(byVar) == 0 {
 		return
 	}
-	sites := make(map[int][]ctoken.Pos, nRep)
+	sites := make([][]ctoken.Pos, len(bindings))
 	for _, r := range c.siteLog {
 		for _, i := range byVar[r.v] {
-			if len(sites[i]) < maxSitesPerPair && !sigHas(r.sig, bindings[i].Lock) {
-				sites[i] = append(sites[i], r.pos)
+			if !sigHas(r.sig, bindings[i].Key.Lock) {
+				sites[i] = stats.AppendSites(sites[i], r.pos)
 			}
 		}
 	}
-	for i := range bindings {
-		b := &bindings[i]
-		if b.Errors == 0 {
+	for i, b := range bindings {
+		if len(sites[i]) == 0 {
 			continue
 		}
-		rule := fmt.Sprintf("variable %s must be protected by lock %s", b.Var, b.Lock)
+		rule := fmt.Sprintf("variable %s must be protected by lock %s", b.Key.Var, b.Key.Lock)
+		msg := fmt.Sprintf("%s accessed without %s held (protected %d/%d times elsewhere)",
+			b.Key.Var, b.Key.Lock, b.Examples(), b.Checks)
+		if !b.Must {
+			col.AddStats("lockvar", rule, sites[i], b.Score(), b.Counter, msg)
+			continue
+		}
 		for _, pos := range sites[i] {
-			msg := fmt.Sprintf("%s accessed without %s held (protected %d/%d times elsewhere)",
-				b.Var, b.Lock, b.Examples(), b.Checks)
-			if b.Must {
-				col.AddMust("lockvar", rule, pos, report.Serious, 0, msg+" [promoted: sole variable of a critical section]")
-			} else {
-				col.AddStat("lockvar", rule, pos, b.Z, b.Checks, b.Examples(), msg)
-			}
+			col.AddMust("lockvar", rule, pos, report.Serious, 0, msg+" [promoted: sole variable of a critical section]")
 		}
 	}
 }

@@ -107,7 +107,7 @@ func TestFigure1Ranking(t *testing.T) {
 	if len(bs) < 2 {
 		t.Fatalf("bindings: %+v", bs)
 	}
-	if bs[0].Var != "a" || bs[0].Lock != "l" {
+	if bs[0].Key != (Key{"a", "l"}) {
 		t.Errorf("(a,l) should rank above (b,l): %+v", bs)
 	}
 	if bs[0].Z <= bs[1].Z {
@@ -141,7 +141,7 @@ func TestSingleVarPromotion(t *testing.T) {
 	c, col := run(t, figure1)
 	var promoted bool
 	for _, b := range c.Bindings() {
-		if b.Var == "a" && b.Lock == "l" && b.Must {
+		if b.Key == (Key{"a", "l"}) && b.Must {
 			promoted = true
 		}
 	}
@@ -312,7 +312,7 @@ int g(int n) {
 		t.Errorf("spurious = %v, want [dead quiet]: l protects v, dead and quiet protect nothing shared", spurious)
 	}
 	for _, b := range c.Bindings() {
-		if b.Lock != "l" {
+		if b.Key.Lock != "l" {
 			t.Errorf("binding for a lock never held around shared data: %+v", b)
 		}
 	}
@@ -320,7 +320,7 @@ int g(int n) {
 
 // denseBindings is the reference enumeration: every accessed variable
 // against every lock of the universe, filtered to the pairs with an
-// example, in Bindings' order (z descending, ties in vlLess order).
+// example, in Bindings' order (z descending, ties in compareKeys order).
 func denseBindings(c *Checker) (filtered []Binding, all int) {
 	locks := make([]string, 0, len(c.locks))
 	for l := range c.locks {
@@ -330,12 +330,14 @@ func denseBindings(c *Checker) (filtered []Binding, all int) {
 	for v, n := range c.accesses {
 		for _, l := range locks {
 			all++
-			cnt := stats.Counter{Checks: n, Errors: n - c.heldAt[vl{v, l}]}
+			k := Key{v, l}
+			cnt := stats.Counter{Checks: n, Errors: n - c.heldAt[k]}
 			if cnt.Examples() == 0 {
 				continue
 			}
-			filtered = append(filtered, Binding{Var: v, Lock: l, Counter: cnt,
-				Z: cnt.Z(c.p0), Must: c.must[vl{v, l}]})
+			filtered = append(filtered, Binding{
+				Instance: stats.Instance[Key]{Key: k, Counter: cnt, Z: cnt.Z(c.p0)},
+				Must:     c.must[k]})
 		}
 	}
 	sort.Slice(filtered, func(i, j int) bool {
@@ -343,7 +345,7 @@ func denseBindings(c *Checker) (filtered []Binding, all int) {
 		if a.Z != b.Z {
 			return a.Z > b.Z
 		}
-		return vlLess(vl{a.Var, a.Lock}, vl{b.Var, b.Lock})
+		return compareKeys(a.Key, b.Key) < 0
 	})
 	return filtered, all
 }
@@ -478,7 +480,7 @@ void g(void) {
 	}
 	// No (dev.lock, dev.lock) or lock-operand noise instances.
 	for _, b := range c.Bindings() {
-		if b.Var == "dev.lock" || b.Var == "dev" {
+		if b.Key.Var == "dev.lock" || b.Key.Var == "dev" {
 			t.Errorf("lock operand counted as shared data: %+v", b)
 		}
 	}

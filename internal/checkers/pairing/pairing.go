@@ -1,20 +1,23 @@
-// Package pairing derives instances of the rule template "<a> must be
-// paired with <b>" directly from code (Section 9 / Table 2). For every
-// execution path it records the function-call sequence; a candidate pair
-// (a, b) is any ordered pair observed together on some path. Per the
-// paper's counting: the population is paths containing a, the examples
-// are paths where some later b pairs it. Candidates rank by the z
+// Package pairing is the path template: it records each execution path's
+// function-call sequence and derives rules over ordered call pairs
+// (a, b) observed together on some path. Per the paper's counting, the
+// population is paths containing a and the examples are paths where
+// some later b follows a's first call. Candidates rank by the z
 // statistic, with a latent-specification boost for names matching
-// open/close conventions (lock/unlock, request/release, cli/sti, ...).
-//
-// Violations — paths with a call to a but no matching b — are reported
-// ranked by the pair's z, which is how the paper keeps noise from
+// open/close conventions (lock/unlock, request/release, cli/sti, ...),
+// and violations — paths where no b follows a — are reported ranked by
+// the pair's score, which is how the paper keeps noise from
 // coincidental couplings inspectable.
+//
+// New instantiates "<a> must be paired with <b>" (Section 9 / Table 2)
+// over every path. Package reverse instantiates "does <b> reverse <a>?"
+// with the same walker, derivation and report loop over error paths
+// only (see Template).
 package pairing
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 
 	"deviant/internal/cast"
 	"deviant/internal/cfg"
@@ -33,29 +36,53 @@ type Limits struct {
 // DefaultLimits are generous enough for kernel-style functions.
 func DefaultLimits() Limits { return Limits{MaxPaths: 128, MaxCalls: 64} }
 
+// Template says which paths a Checker records and how it words its
+// reports.
+type Template struct {
+	Name string // checker name on reports
+	// ErrorReturn, when set, restricts the template to error paths:
+	// return statements classify their path by their value with it and
+	// are not scanned for calls, and only paths that reach an error
+	// return are recorded.
+	ErrorReturn func(value cast.Expr) bool
+	// Ignore lists calls excluded from the sequences (diagnostic
+	// printers pair with nothing).
+	Ignore map[string]bool
+	// Rule and Message are format strings over (a, b) and (a, b,
+	// examples, checks).
+	Rule, Message string
+}
+
+// paired is the template "<a> must be paired with <b>" over every path.
+var paired = Template{
+	Name:    "pairing",
+	Ignore:  map[string]bool{"printk": true, "printf": true, "sprintf": true},
+	Rule:    "%s must be paired with %s",
+	Message: "call to %s is not followed by %s on this path (paired %d/%d elsewhere)",
+}
+
 type callRef struct {
 	name string
 	pos  ctoken.Pos
 }
 
 // Checker accumulates call-sequence paths across a program, then derives
-// and checks pairings.
+// and checks its template's pairs.
 type Checker struct {
 	conv   *latent.Conventions
 	limits Limits
+	tmpl   *Template
 	paths  [][]callRef
-	// Ignore lists calls excluded from pairing (diagnostic printers and
-	// crash routines pair with nothing).
-	Ignore map[string]bool
 }
 
 // New returns an empty pairing deriver.
 func New(conv *latent.Conventions, limits Limits) *Checker {
-	return &Checker{
-		conv:   conv,
-		limits: limits,
-		Ignore: map[string]bool{"printk": true, "printf": true, "sprintf": true},
-	}
+	return NewTemplate(conv, limits, &paired)
+}
+
+// NewTemplate returns an empty deriver for tmpl.
+func NewTemplate(conv *latent.Conventions, limits Limits, tmpl *Template) *Checker {
+	return &Checker{conv: conv, limits: limits, tmpl: tmpl}
 }
 
 // AddFunction enumerates g's paths and records their call sequences.
@@ -66,8 +93,8 @@ func New(conv *latent.Conventions, limits Limits) *Checker {
 func (c *Checker) AddFunction(g *cfg.Graph) {
 	var cur []callRef
 	paths := 0
-	var walk func(b *cfg.Block, onPath map[int]int)
-	walk = func(b *cfg.Block, onPath map[int]int) {
+	var walk func(b *cfg.Block, onPath map[int]int, isErr bool)
+	walk = func(b *cfg.Block, onPath map[int]int, isErr bool) {
 		if b == nil || paths >= c.limits.MaxPaths {
 			return
 		}
@@ -80,6 +107,10 @@ func (c *Checker) AddFunction(g *cfg.Graph) {
 		mark := len(cur)
 		crashed := false
 		for _, n := range b.Nodes {
+			if ret, ok := n.(*cast.ReturnStmt); ok && c.tmpl.ErrorReturn != nil {
+				isErr = isErr || c.tmpl.ErrorReturn(ret.X)
+				continue
+			}
 			cur = c.collectCalls(n, cur)
 			if c.callsCrash(n) {
 				crashed = true
@@ -95,16 +126,18 @@ func (c *Checker) AddFunction(g *cfg.Graph) {
 			return
 		}
 		if len(b.Succs) == 0 {
-			c.record(cur)
+			if len(cur) > 0 && (isErr || c.tmpl.ErrorReturn == nil) {
+				c.paths = append(c.paths, append([]callRef(nil), cur...))
+			}
 			paths++
 		} else {
 			for _, e := range b.Succs {
-				walk(e.To, onPath)
+				walk(e.To, onPath, isErr)
 			}
 		}
 		cur = cur[:mark]
 	}
-	walk(g.Entry, map[int]int{})
+	walk(g.Entry, map[int]int{}, false)
 }
 
 func (c *Checker) collectCalls(n cast.Node, cur []callRef) []callRef {
@@ -114,7 +147,7 @@ func (c *Checker) collectCalls(n cast.Node, cur []callRef) []callRef {
 		}
 		if call, ok := m.(*cast.CallExpr); ok {
 			name := cast.CalleeName(call)
-			if name != "" && !c.Ignore[name] && !c.conv.IsCrashRoutine(name) {
+			if name != "" && !c.tmpl.Ignore[name] && !c.conv.IsCrashRoutine(name) {
 				cur = append(cur, callRef{name: name, pos: call.Lparen})
 			}
 		}
@@ -138,21 +171,10 @@ func (c *Checker) callsCrash(n cast.Node) bool {
 	return found
 }
 
-func (c *Checker) record(path []callRef) {
-	if len(path) == 0 {
-		return
-	}
-	cp := make([]callRef, len(path))
-	copy(cp, path)
-	c.paths = append(c.paths, cp)
-}
-
 // Fork returns an empty deriver sharing c's configuration (conventions,
-// limits, and ignore set are read-only), for one worker's shard of
+// limits and template are read-only), for one worker's shard of
 // functions.
-func (c *Checker) Fork() *Checker {
-	return &Checker{conv: c.conv, limits: c.limits, Ignore: c.Ignore}
-}
+func (c *Checker) Fork() *Checker { return NewTemplate(c.conv, c.limits, c.tmpl) }
 
 // Merge appends a fork's recorded paths to c. Folding shards in function
 // order reproduces the serial path list exactly, so Derive and Finish see
@@ -161,138 +183,102 @@ func (c *Checker) Merge(o *Checker) {
 	c.paths = append(c.paths, o.paths...)
 }
 
-// Pair is one derived slot-instance combination for the template
-// "<a> must be paired with <b>".
-type Pair struct {
+// Key is one ordered call pair (a, b).
+type Key struct {
 	A, B string
-	stats.Counter
-	Z     float64
-	Boost float64 // latent naming-convention bonus
 }
 
-// Score is the inspection ranking score (z plus the latent boost).
-func (p Pair) Score() float64 { return p.Z + p.Boost }
+// compareKeys orders pairs by a, then b.
+func compareKeys(a, b Key) int { return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B)) }
+
+// Pair is one derived slot-instance combination of the template.
+type Pair = stats.Instance[Key]
+
+// firstCalls maps each callee on path to the index of its first call,
+// reusing first.
+func firstCalls(path []callRef, first map[string]int) {
+	clear(first)
+	for i, cr := range path {
+		if _, ok := first[cr.name]; !ok {
+			first[cr.name] = i
+		}
+	}
+}
+
+// follows reports whether b is called after index i on path.
+func follows(path []callRef, i int, b string) bool {
+	for _, cr := range path[i+1:] {
+		if cr.name == b {
+			return true
+		}
+	}
+	return false
+}
 
 // Derive computes all candidate pairs with their evidence, ranked by
 // score (descending).
 func (c *Checker) Derive(p0 float64) []Pair {
 	// Candidate universe: (a, b) that were actually paired on >= 1 path.
 	candidates := make(map[string]map[string]bool)
-	seen := map[string]int{} // reused (cleared) across paths
+	first := map[string]int{} // reused (cleared) across paths
 	for _, path := range c.paths {
-		clear(seen)
-		for i, cr := range path {
-			if _, ok := seen[cr.name]; !ok {
-				seen[cr.name] = i
-			}
-		}
-		for a, ai := range seen {
-			for j := ai + 1; j < len(path); j++ {
-				b := path[j].name
-				if b == a {
+		firstCalls(path, first)
+		for a, ai := range first {
+			for _, cr := range path[ai+1:] {
+				if cr.name == a {
 					continue
 				}
 				if candidates[a] == nil {
 					candidates[a] = make(map[string]bool)
 				}
-				candidates[a][b] = true
+				candidates[a][cr.name] = true
 			}
 		}
 	}
 
 	// Count: population = paths with a; example = b follows the first a.
-	pop := stats.NewPopulation()
-	first := map[string]int{} // reused (cleared) across paths
+	var ev stats.Evidence[Key]
 	for _, path := range c.paths {
-		clear(first)
-		for i, cr := range path {
-			if _, ok := first[cr.name]; !ok {
-				first[cr.name] = i
-			}
-		}
-		after := func(name string, idx int) bool {
-			for j := idx + 1; j < len(path); j++ {
-				if path[j].name == name {
-					return true
-				}
-			}
-			return false
-		}
+		firstCalls(path, first)
 		for a, ai := range first {
 			for b := range candidates[a] {
-				pop.Check(a+":"+b, !after(b, ai))
+				ev.Count(Key{a, b}, !follows(path, ai, b))
 			}
 		}
 	}
-
-	var out []Pair
-	for _, key := range pop.Keys() {
-		cnt := pop.Get(key)
-		var a, b string
-		for i := 0; i < len(key); i++ {
-			if key[i] == ':' {
-				a, b = key[:i], key[i+1:]
-				break
-			}
-		}
-		out = append(out, Pair{
-			A: a, B: b, Counter: cnt,
-			Z:     cnt.Z(p0),
-			Boost: c.conv.PairBoost(a, b),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := out[i].Score(), out[j].Score()
-		if si != sj {
-			return si > sj
-		}
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
+	return ev.Rank(stats.Order[Key]{
+		P0:      p0,
+		Boost:   func(k Key) float64 { return c.conv.PairBoost(k.A, k.B) },
+		Compare: compareKeys,
 	})
-	return out
 }
 
-// Finish derives pairs and reports violations of every plausible pair:
-// at least minExamples paired paths, at least one violation, and a
-// ranking score (z plus latent boost) of at least minScore. The score
+// Finish derives pairs and reports violations of every pair the floor
+// admits: at least minExamples paired paths, at least one violation, and
+// a ranking score (z plus latent boost) of at least minScore. The score
 // floor is what keeps coincidental couplings out of the report stream —
-// they remain visible in the Derive table, ranked at the bottom.
+// they remain visible in the Derive table, ranked at the bottom. Every
+// unpaired first call of a is reported, uncapped.
 func (c *Checker) Finish(col *report.Collector, p0 float64, minExamples int, minScore float64) []Pair {
 	pairs := c.Derive(p0)
+	floor := stats.Floor{MinExamples: minExamples, MinScore: minScore}
 	for _, p := range pairs {
-		if p.Errors == 0 || p.Examples() < minExamples || p.Score() < minScore {
+		if !p.Reportable(floor) {
 			continue
 		}
-		// Report each unpaired occurrence of A.
+		var sites []ctoken.Pos
 		for _, path := range c.paths {
 			for i, cr := range path {
-				if cr.name != p.A {
-					continue
-				}
-				paired := false
-				for j := i + 1; j < len(path); j++ {
-					if path[j].name == p.B {
-						paired = true
-						break
+				if cr.name == p.Key.A {
+					if !follows(path, i, p.Key.B) {
+						sites = append(sites, cr.pos)
 					}
+					break // the population counts a path's first call of a
 				}
-				if !paired {
-					col.AddStat(
-						"pairing",
-						fmt.Sprintf("%s must be paired with %s", p.A, p.B),
-						cr.pos,
-						p.Score(),
-						p.Checks,
-						p.Examples(),
-						fmt.Sprintf("call to %s is not followed by %s on this path (paired %d/%d elsewhere)",
-							p.A, p.B, p.Examples(), p.Checks),
-					)
-				}
-				break // population counts the first occurrence per path
 			}
 		}
+		col.AddStats(c.tmpl.Name, fmt.Sprintf(c.tmpl.Rule, p.Key.A, p.Key.B), sites, p.Score(), p.Counter,
+			fmt.Sprintf(c.tmpl.Message, p.Key.A, p.Key.B, p.Examples(), p.Checks))
 	}
 	return pairs
 }

@@ -31,7 +31,7 @@ func build(t *testing.T, src string) *Checker {
 
 func findPair(pairs []Pair, a, b string) (Pair, bool) {
 	for _, p := range pairs {
-		if p.A == a && p.B == b {
+		if p.Key == (Key{a, b}) {
 			return p, true
 		}
 	}
@@ -54,7 +54,7 @@ func TestDeriveSimplePair(t *testing.T) {
 		t.Errorf("counts: %+v", p)
 	}
 	// The lock pair must rank first: high z plus latent boost.
-	if pairs[0].A != "spin_lock" || pairs[0].B != "spin_unlock" {
+	if pairs[0].Key != (Key{"spin_lock", "spin_unlock"}) {
 		t.Errorf("top pair: %+v", pairs[0])
 	}
 }
@@ -202,10 +202,10 @@ void g2(void) { misc_x(); misc_y(); }
 	// Same evidence; the lock pair should rank first via the boost.
 	li, mi := -1, -1
 	for i, p := range pairs {
-		if p.A == "dev_lock" && p.B == "dev_unlock" {
+		if p.Key == (Key{"dev_lock", "dev_unlock"}) {
 			li = i
 		}
-		if p.A == "misc_x" && p.B == "misc_y" {
+		if p.Key == (Key{"misc_x", "misc_y"}) {
 			mi = i
 		}
 	}

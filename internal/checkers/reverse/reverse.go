@@ -1,147 +1,48 @@
 // Package reverse derives the rule template "does <a> reverse <b>?"
 // (Table 2): on error paths, actions performed earlier (allocation,
-// registration, locking) must be undone before the error return. The
-// population is error paths containing b; the examples are those where a
-// later a reverses it. Error paths are recognized by their return value —
-// a negative constant or a null pointer, the error idioms §5.2 lists as
-// latent specifications.
+// registration, locking) must be undone before the error return. It is
+// the pairing path template restricted to error paths: the population is
+// error paths containing b, the examples are those where a later a
+// reverses it, and every unreversed b is reported. Error paths are
+// recognized by their return value — a negative constant or a null
+// pointer, the error idioms §5.2 lists as latent specifications.
 package reverse
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 
 	"deviant/internal/cast"
-	"deviant/internal/cfg"
+	"deviant/internal/checkers/pairing"
 	"deviant/internal/ctoken"
 	"deviant/internal/latent"
-	"deviant/internal/report"
-	"deviant/internal/stats"
 )
 
 // Limits bound path enumeration per function.
-type Limits struct {
-	MaxPaths int
-	MaxCalls int
-}
-
-// DefaultLimits mirror the pairing checker's bounds.
-func DefaultLimits() Limits { return Limits{MaxPaths: 128, MaxCalls: 64} }
-
-type callRef struct {
-	name string
-	pos  ctoken.Pos
-}
-
-type pathInfo struct {
-	calls   []callRef
-	isError bool
-}
+type Limits = pairing.Limits
 
 // Checker accumulates error-path call sequences across a program.
-type Checker struct {
-	conv   *latent.Conventions
-	limits Limits
-	paths  []pathInfo
+type Checker = pairing.Checker
+
+// Reversal is one derived (b, a) instance: Key.B reverses Key.A on
+// error paths. Checks = error paths with Key.A; Errors = unreversed.
+type Reversal = pairing.Pair
+
+// DefaultLimits mirror the pairing checker's bounds.
+func DefaultLimits() Limits { return pairing.DefaultLimits() }
+
+// errorPaths is the reversal template: return statements classify the
+// path instead of contributing calls, and only printk is ignored.
+var errorPaths = pairing.Template{
+	Name:        "reverse",
+	ErrorReturn: isErrorReturn,
+	Ignore:      map[string]bool{"printk": true},
+	Rule:        "%s must be reversed by %s on error paths",
+	Message:     "error path does not undo %s with %s (reversed %d/%d elsewhere)",
 }
 
 // New returns an empty reversal deriver.
 func New(conv *latent.Conventions, limits Limits) *Checker {
-	return &Checker{conv: conv, limits: limits}
-}
-
-// AddFunction enumerates g's paths, recording each path's calls and
-// whether it ends in an error return.
-func (c *Checker) AddFunction(g *cfg.Graph) {
-	var cur []callRef
-	paths := 0
-	var walk func(b *cfg.Block, onPath map[int]int, isErr bool)
-	record := func(isErr bool) {
-		if len(cur) == 0 {
-			return
-		}
-		cp := make([]callRef, len(cur))
-		copy(cp, cur)
-		c.paths = append(c.paths, pathInfo{calls: cp, isError: isErr})
-	}
-	// Loops unroll once; cyclic traces are abandoned, not recorded as
-	// truncated paths (see pairing.AddFunction).
-	walk = func(b *cfg.Block, onPath map[int]int, isErr bool) {
-		if b == nil || paths >= c.limits.MaxPaths {
-			return
-		}
-		if onPath[b.ID] >= 2 {
-			return
-		}
-		onPath[b.ID]++
-		defer func() { onPath[b.ID]-- }()
-
-		mark := len(cur)
-		crashed := false
-		for _, n := range b.Nodes {
-			switch x := n.(type) {
-			case *cast.ReturnStmt:
-				if isErrorReturn(x.X) {
-					isErr = true
-				}
-			default:
-				cur = c.collectCalls(n, cur)
-				if c.callsCrash(n) {
-					crashed = true
-				}
-			}
-		}
-		if b.Cond != nil {
-			cur = c.collectCalls(b.Cond, cur)
-		}
-		if crashed {
-			// §5.2: crash paths never continue; nothing to reverse.
-			cur = cur[:mark]
-			return
-		}
-		if len(b.Succs) == 0 {
-			record(isErr)
-			paths++
-		} else {
-			for _, e := range b.Succs {
-				walk(e.To, onPath, isErr)
-			}
-		}
-		cur = cur[:mark]
-	}
-	walk(g.Entry, map[int]int{}, false)
-}
-
-func (c *Checker) collectCalls(n cast.Node, cur []callRef) []callRef {
-	cast.Inspect(n, func(m cast.Node) bool {
-		if len(cur) >= c.limits.MaxCalls {
-			return false
-		}
-		if call, ok := m.(*cast.CallExpr); ok {
-			name := cast.CalleeName(call)
-			if name != "" && name != "printk" && !c.conv.IsCrashRoutine(name) {
-				cur = append(cur, callRef{name: name, pos: call.Lparen})
-			}
-		}
-		return true
-	})
-	return cur
-}
-
-// callsCrash reports whether node n contains a call to a never-returns
-// routine.
-func (c *Checker) callsCrash(n cast.Node) bool {
-	found := false
-	cast.Inspect(n, func(m cast.Node) bool {
-		if call, ok := m.(*cast.CallExpr); ok {
-			if name := cast.CalleeName(call); name != "" && c.conv.IsCrashRoutine(name) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
+	return pairing.NewTemplate(conv, limits, &errorPaths)
 }
 
 // isErrorReturn recognizes the error idioms: return of a negative
@@ -166,160 +67,4 @@ func isErrorReturn(e cast.Expr) bool {
 		return x.Name == "NULL"
 	}
 	return false
-}
-
-// Fork returns an empty deriver sharing c's configuration, for one
-// worker's shard of functions.
-func (c *Checker) Fork() *Checker {
-	return &Checker{conv: c.conv, limits: c.limits}
-}
-
-// Merge appends a fork's recorded paths to c; folding shards in function
-// order reproduces the serial path list exactly.
-func (c *Checker) Merge(o *Checker) {
-	c.paths = append(c.paths, o.paths...)
-}
-
-// Reversal is one derived (b, a) instance: a reverses b on error paths.
-type Reversal struct {
-	Forward, Undo string
-	stats.Counter // Checks = error paths with Forward; Errors = unreversed
-	Z             float64
-	Boost         float64
-}
-
-// Score is the ranking score.
-func (r Reversal) Score() float64 { return r.Z + r.Boost }
-
-// Derive computes reversal candidates over the recorded error paths.
-func (c *Checker) Derive(p0 float64) []Reversal {
-	// Candidates: (forward, undo) observed in that order on >= 1 error
-	// path.
-	candidates := make(map[string]map[string]bool)
-	for _, p := range c.paths {
-		if !p.isError {
-			continue
-		}
-		first := map[string]int{}
-		for i, cr := range p.calls {
-			if _, ok := first[cr.name]; !ok {
-				first[cr.name] = i
-			}
-		}
-		for b, bi := range first {
-			for j := bi + 1; j < len(p.calls); j++ {
-				a := p.calls[j].name
-				if a == b {
-					continue
-				}
-				if candidates[b] == nil {
-					candidates[b] = make(map[string]bool)
-				}
-				candidates[b][a] = true
-			}
-		}
-	}
-
-	pop := stats.NewPopulation()
-	for _, p := range c.paths {
-		if !p.isError {
-			continue
-		}
-		first := map[string]int{}
-		for i, cr := range p.calls {
-			if _, ok := first[cr.name]; !ok {
-				first[cr.name] = i
-			}
-		}
-		for b, bi := range first {
-			for a := range candidates[b] {
-				reversed := false
-				for j := bi + 1; j < len(p.calls); j++ {
-					if p.calls[j].name == a {
-						reversed = true
-						break
-					}
-				}
-				pop.Check(b+">"+a, !reversed)
-			}
-		}
-	}
-
-	var out []Reversal
-	for _, key := range pop.Keys() {
-		b, a, ok := strings.Cut(key, ">")
-		if !ok {
-			continue
-		}
-		cnt := pop.Get(key)
-		out = append(out, Reversal{
-			Forward: b, Undo: a, Counter: cnt,
-			Z:     cnt.Z(p0),
-			Boost: c.conv.PairBoost(b, a),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := out[i].Score(), out[j].Score()
-		if si != sj {
-			return si > sj
-		}
-		if out[i].Forward != out[j].Forward {
-			return out[i].Forward < out[j].Forward
-		}
-		return out[i].Undo < out[j].Undo
-	})
-	return out
-}
-
-// Finish derives reversals and reports error paths where a plausible
-// reversal is missing.
-func (c *Checker) Finish(col *report.Collector, p0 float64, minExamples int, minScore float64) []Reversal {
-	revs := c.Derive(p0)
-	for _, r := range revs {
-		if r.Errors == 0 || r.Examples() < minExamples || r.Score() < minScore {
-			continue
-		}
-		for _, p := range c.paths {
-			if !p.isError {
-				continue
-			}
-			for i, cr := range p.calls {
-				if cr.name != r.Forward {
-					continue
-				}
-				reversed := false
-				for j := i + 1; j < len(p.calls); j++ {
-					if p.calls[j].name == r.Undo {
-						reversed = true
-						break
-					}
-				}
-				if !reversed {
-					col.AddStat(
-						"reverse",
-						fmt.Sprintf("%s must be reversed by %s on error paths", r.Forward, r.Undo),
-						cr.pos,
-						r.Score(),
-						r.Checks,
-						r.Examples(),
-						fmt.Sprintf("error path does not undo %s with %s (reversed %d/%d elsewhere)",
-							r.Forward, r.Undo, r.Examples(), r.Checks),
-					)
-				}
-				break
-			}
-		}
-	}
-	return revs
-}
-
-// ErrorPathCount returns how many error paths were recorded.
-func (c *Checker) ErrorPathCount() int {
-	n := 0
-	for _, p := range c.paths {
-		if p.isError {
-			n++
-		}
-	}
-	return n
 }

@@ -7,6 +7,7 @@ import (
 
 	"deviant/internal/cast"
 	"deviant/internal/cfg"
+	"deviant/internal/checkers/pairing"
 	"deviant/internal/cparse"
 	"deviant/internal/latent"
 	"deviant/internal/report"
@@ -31,7 +32,7 @@ func build(t *testing.T, src string) *Checker {
 
 func find(revs []Reversal, fwd, undo string) (Reversal, bool) {
 	for _, r := range revs {
-		if r.Forward == fwd && r.Undo == undo {
+		if r.Key == (pairing.Key{A: fwd, B: undo}) {
 			return r, true
 		}
 	}
@@ -47,7 +48,7 @@ int f(int x) {
 	return 0;
 }
 `)
-	if got := c.ErrorPathCount(); got != 1 {
+	if got := c.PathCount(); got != 1 {
 		t.Errorf("error paths: %d", got)
 	}
 }
@@ -61,7 +62,7 @@ int f(int x) {
 	return 0;
 }
 `)
-	if got := c.ErrorPathCount(); got != 1 {
+	if got := c.PathCount(); got != 1 {
 		t.Errorf("-EINVAL path not recognized: %d", got)
 	}
 }

@@ -6,19 +6,15 @@
 package seccheck
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"deviant/internal/cast"
-	"deviant/internal/ctoken"
 	"deviant/internal/engine"
 	"deviant/internal/report"
 	"deviant/internal/stats"
 )
-
-// maxSites bounds recorded unprotected call sites per (X, Y) pair.
-const maxSites = 64
 
 // DefaultPredicates are the permission predicates recognized as security
 // checks, per the Unix idiom set.
@@ -31,23 +27,24 @@ func DefaultPredicates() map[string]bool {
 
 // Checker accumulates security-check evidence across a program.
 type Checker struct {
-	preds map[string]bool
-	p0    float64
+	preds     map[string]bool
+	predNames []string // preds, listed once for the per-call loop
+	p0        float64
 
-	pop      *stats.Population       // key: x + "?" + y
-	errSites map[string][]ctoken.Pos // unprotected call sites
-	// xCalls tracks which predicates were ever seen so the universe of
-	// Y slots is bounded by reality.
+	ev stats.Evidence[Key] // counter-example: an unprotected call
+	// seenPreds tracks which predicates were ever seen so the universe
+	// of Y slots is bounded by reality.
 	seenPreds map[string]bool
-	// pairCache precomputes the (y, "x?y") entries for a callee x: the
-	// predicate set is frozen at New, and concatenating the pair key per
-	// call site was a dominant allocation. Fork-local (single goroutine).
-	pairCache map[string][]xyPair
 }
 
-// xyPair is one precomputed (check, "action?check") entry.
-type xyPair struct {
-	check, key string
+// Key is one (X, Y) slot instance: action X, guarded by check Y.
+type Key struct {
+	Action, Check string
+}
+
+// compareKeys orders keys by action, then check.
+func compareKeys(a, b Key) int {
+	return cmp.Or(cmp.Compare(a.Action, b.Action), cmp.Compare(a.Check, b.Check))
 }
 
 // New returns a checker using the given predicate set (nil = defaults).
@@ -55,14 +52,12 @@ func New(preds map[string]bool) *Checker {
 	if preds == nil {
 		preds = DefaultPredicates()
 	}
-	return &Checker{
-		preds:     preds,
-		p0:        stats.DefaultP0,
-		pop:       stats.NewPopulation(),
-		errSites:  make(map[string][]ctoken.Pos),
-		seenPreds: make(map[string]bool),
-		pairCache: make(map[string][]xyPair),
+	c := &Checker{preds: preds, p0: stats.DefaultP0, seenPreds: make(map[string]bool)}
+	for y := range preds {
+		c.predNames = append(c.predNames, y)
 	}
+	slices.Sort(c.predNames)
+	return c
 }
 
 // Name implements engine.Checker.
@@ -122,29 +117,9 @@ func (c *Checker) Event(st engine.State, ev *engine.Event, ctx *engine.Ctx) {
 	if name == "" || c.preds[name] {
 		return
 	}
-	for _, p := range c.pairs(name) {
-		errHere := !s.checked[p.check]
-		c.pop.Check(p.key, errHere)
-		if errHere && len(c.errSites[p.key]) < maxSites {
-			c.errSites[p.key] = append(c.errSites[p.key], ev.Pos)
-		}
+	for _, y := range c.predNames {
+		c.ev.Check(Key{name, y}, !s.checked[y], ev.Pos)
 	}
-}
-
-// pairs returns the cached (y, "x?y") list for callee x, building it on
-// first sight. Per-key effects in the caller's loop are independent, so
-// the order the list snapshots is irrelevant (as it was when iterating
-// the predicate map directly).
-func (c *Checker) pairs(x string) []xyPair {
-	ps, ok := c.pairCache[x]
-	if !ok {
-		ps = make([]xyPair, 0, len(c.preds))
-		for y := range c.preds {
-			ps = append(ps, xyPair{check: y, key: x + "?" + y})
-		}
-		c.pairCache[x] = ps
-	}
-	return ps
 }
 
 // Branch implements engine.Checker: a branch whose condition calls a
@@ -176,79 +151,40 @@ func (c *Checker) FuncEnd(engine.State, *engine.Ctx) {}
 // Fork returns an empty checker sharing c's predicate set, for one
 // worker's shard of functions.
 func (c *Checker) Fork() *Checker {
-	return &Checker{
-		preds:     c.preds,
-		p0:        c.p0,
-		pop:       stats.NewPopulation(),
-		errSites:  make(map[string][]ctoken.Pos),
-		seenPreds: make(map[string]bool),
-		pairCache: make(map[string][]xyPair),
-	}
+	return &Checker{preds: c.preds, predNames: c.predNames, p0: c.p0, seenPreds: make(map[string]bool)}
 }
 
-// Merge folds a fork's evidence into c: counters sum, seen-predicate sets
-// union, site lists concatenate in merge order and re-truncate.
+// Merge folds a fork's evidence into c: evidence merges (see
+// stats.Evidence.Merge) and seen-predicate sets union.
 func (c *Checker) Merge(o *Checker) {
-	c.pop.Merge(o.pop)
+	c.ev.Merge(&o.ev)
 	for k := range o.seenPreds {
 		c.seenPreds[k] = true
-	}
-	for k, v := range o.errSites {
-		s := append(c.errSites[k], v...)
-		if len(s) > maxSites {
-			s = s[:maxSites]
-		}
-		c.errSites[k] = s
 	}
 }
 
 // Derived is the evidence for one (X, Y) instance.
-type Derived struct {
-	Action, Check string
-	stats.Counter
-	Z float64
-}
+type Derived = stats.Instance[Key]
 
 // Ranked returns (X, Y) instances for predicates actually seen, ordered
 // by z.
 func (c *Checker) Ranked() []Derived {
-	var out []Derived
-	for _, key := range c.pop.Keys() {
-		x, y, ok := strings.Cut(key, "?")
-		if !ok || !c.seenPreds[y] {
-			continue
-		}
-		cnt := c.pop.Get(key)
-		out = append(out, Derived{Action: x, Check: y, Counter: cnt, Z: cnt.Z(c.p0)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Z != out[j].Z {
-			return out[i].Z > out[j].Z
-		}
-		if out[i].Action != out[j].Action {
-			return out[i].Action < out[j].Action
-		}
-		return out[i].Check < out[j].Check
-	})
-	return out
+	return slices.DeleteFunc(c.ev.Rank(stats.Order[Key]{P0: c.p0, Compare: compareKeys}),
+		func(d Derived) bool { return !c.seenPreds[d.Key.Check] })
 }
 
 // Counter exposes the evidence for (x, y).
-func (c *Checker) Counter(x, y string) stats.Counter { return c.pop.Get(x + "?" + y) }
+func (c *Checker) Counter(x, y string) stats.Counter { return c.ev.Counter(Key{x, y}) }
 
 // Finish reports unprotected calls to actions that are usually guarded,
 // ranked by z.
 func (c *Checker) Finish(col *report.Collector) {
 	for _, d := range c.Ranked() {
-		if d.Errors == 0 || d.Examples() == 0 {
-			continue
-		}
-		key := d.Action + "?" + d.Check
-		rule := fmt.Sprintf("security check %s must protect %s", d.Check, d.Action)
-		for _, pos := range c.errSites[key] {
-			col.AddStat("seccheck", rule, pos, d.Z, d.Checks, d.Examples(),
+		if d.Reportable(stats.AnyEvidence) {
+			col.AddStats("seccheck", fmt.Sprintf("security check %s must protect %s", d.Key.Check, d.Key.Action),
+				c.ev.Sites(d.Key), d.Score(), d.Counter,
 				fmt.Sprintf("%s called without a %s check; %d/%d call sites are guarded",
-					d.Action, d.Check, d.Examples(), d.Checks))
+					d.Key.Action, d.Key.Check, d.Examples(), d.Checks))
 		}
 	}
 }

@@ -125,7 +125,7 @@ int g(void) {
 	r := c.Ranked()
 	found := false
 	for _, d := range r {
-		if d.Action == "sensitive_op" && d.Check == "capable" {
+		if d.Key == (Key{"sensitive_op", "capable"}) {
 			found = true
 			if d.Checks != 2 || d.Errors != 1 {
 				t.Errorf("evidence: %+v", d)

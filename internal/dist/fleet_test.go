@@ -133,13 +133,13 @@ func canon(res *core.Result) string {
 		fmt.Fprintf(&b, "%4d. %s\n", i+1, r.String())
 	}
 	for _, p := range res.Pairs {
-		fmt.Fprintf(&b, "pair %s/%s %d/%d z=%.4f\n", p.A, p.B, p.Examples(), p.Checks, p.Z)
+		fmt.Fprintf(&b, "pair %s/%s %d/%d z=%.4f\n", p.Key.A, p.Key.B, p.Examples(), p.Checks, p.Z)
 	}
 	for _, d := range res.CanFail {
-		fmt.Fprintf(&b, "canfail %s %d/%d z=%.4f\n", d.Func, d.Examples(), d.Checks, d.Z)
+		fmt.Fprintf(&b, "canfail %s %d/%d z=%.4f\n", d.Key, d.Examples(), d.Checks, d.Z)
 	}
 	for _, bd := range res.LockBindings {
-		fmt.Fprintf(&b, "lock %s/%s %d/%d z=%.4f\n", bd.Lock, bd.Var, bd.Examples(), bd.Checks, bd.Z)
+		fmt.Fprintf(&b, "lock %s/%s %d/%d z=%.4f\n", bd.Key.Lock, bd.Key.Var, bd.Examples(), bd.Checks, bd.Z)
 	}
 	return b.String()
 }

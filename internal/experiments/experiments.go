@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"deviant/internal/checkers/pairing"
 	"deviant/internal/checkers/version"
 	"deviant/internal/core"
 	"deviant/internal/corpus"
@@ -94,34 +95,34 @@ func Table2() (string, error) {
 
 	if len(res.LockBindings) > 0 {
 		top := res.LockBindings[0]
-		row("Does lock <l> protect <v>?", top.Var+" by "+top.Lock, top.Counter, top.Z)
+		row("Does lock <l> protect <v>?", top.Key.Var+" by "+top.Key.Lock, top.Counter, top.Z)
 	}
 	if len(res.Pairs) > 0 {
 		top := res.Pairs[0]
-		row("Must <a> be paired with <b>?", top.A+" / "+top.B, top.Counter, top.Z)
+		row("Must <a> be paired with <b>?", top.Key.A+" / "+top.Key.B, top.Counter, top.Z)
 	}
 	if len(res.CanFail) > 0 {
 		top := res.CanFail[0]
-		row("Can routine <f> fail?", top.Func, top.Counter, top.Z)
+		row("Can routine <f> fail?", top.Key, top.Counter, top.Z)
 	}
 	if len(res.SecChecks) > 0 {
 		top := res.SecChecks[0]
-		row("Does security check <y> protect <x>?", top.Check+" guards "+top.Action, top.Counter, top.Z)
+		row("Does security check <y> protect <x>?", top.Key.Check+" guards "+top.Key.Action, top.Counter, top.Z)
 	}
 	if len(res.Reversals) > 0 {
 		top := res.Reversals[0]
-		row("Does <a> reverse <b>?", top.Undo+" reverses "+top.Forward, top.Counter, top.Z)
+		row("Does <a> reverse <b>?", top.Key.B+" reverses "+top.Key.A, top.Counter, top.Z)
 	}
 	if len(res.IntrFuncs) > 0 {
 		top := res.IntrFuncs[0]
-		row("Must <f> be called with interrupts off?", top.Func, top.Counter, top.Z)
+		row("Must <f> be called with interrupts off?", top.Key, top.Counter, top.Z)
 	}
 	// Inverse principle demonstration (§5): rank the negated can-fail
 	// template.
 	if len(res.CanFailNever) > 0 {
 		top := res.CanFailNever[0]
 		fmt.Fprintf(&b, "%-42s %-36s %4d/%-4d %7.2f   (inverse z(n, n-e))\n",
-			"Routine <f> never fails (inverse)", top.Func,
+			"Routine <f> never fails (inverse)", top.Key,
 			top.Counter.Errors, top.Counter.Checks, top.Z)
 	}
 	return b.String(), nil
@@ -201,7 +202,7 @@ func Table5() (string, error) {
 		if i >= 5 {
 			break
 		}
-		fmt.Fprintf(&b, "  %-22s %4d/%-4d %7.2f\n", d.Func, d.Examples(), d.Checks, d.Z)
+		fmt.Fprintf(&b, "  %-22s %4d/%-4d %7.2f\n", d.Key, d.Examples(), d.Checks, d.Z)
 	}
 	scFail := scoreKind(c, res, corpus.UncheckedAlloc)
 	fmt.Fprintf(&b, "unchecked-use errors: %d found, %d false (seeded %d)\n",
@@ -213,7 +214,11 @@ func Table5() (string, error) {
 		if i >= 5 {
 			break
 		}
-		fmt.Fprintf(&b, "  %-22s %8d %8d %7.2f\n", d.Func, d.IsErrChecked, d.CheckedOtherly, d.Z)
+		isErr, other := d.Examples(), d.Errors // counted on the majority side
+		if !d.MustUseIsErr {
+			isErr, other = other, isErr
+		}
+		fmt.Fprintf(&b, "  %-22s %8d %8d %7.2f\n", d.Key, isErr, other, d.Z)
 	}
 	scErr := scoreKind(c, res, corpus.WrongErrCheck)
 	fmt.Fprintf(&b, "wrong-check errors: %d found, %d false (seeded %d)\n",
@@ -238,7 +243,7 @@ func Table6() (string, error) {
 			break
 		}
 		fmt.Fprintf(&b, "  %-20s %-20s %4d/%-4d %7.2f %6.1f\n",
-			p.A, p.B, p.Examples(), p.Checks, p.Z, p.Boost)
+			p.Key.A, p.Key.B, p.Examples(), p.Checks, p.Z, p.Boost)
 	}
 	sc := scoreKind(c, res, corpus.MissingUnlock)
 	fmt.Fprintf(&b, "pairing violations: %d found, %d false (seeded %d)\n",
@@ -248,7 +253,7 @@ func Table6() (string, error) {
 	// the latent boost.
 	withBoost, withoutBoost := -1, -1
 	for i, p := range res.Pairs {
-		if p.A == "spin_lock" && p.B == "spin_unlock" {
+		if p.Key == (pairing.Key{A: "spin_lock", B: "spin_unlock"}) {
 			withBoost = i
 		}
 	}
@@ -263,7 +268,7 @@ func Table6() (string, error) {
 	sort.SliceStable(zs, func(i, j int) bool { return zs[i].z > zs[j].z })
 	for rank, s := range zs {
 		p := res.Pairs[s.idx]
-		if p.A == "spin_lock" && p.B == "spin_unlock" {
+		if p.Key == (pairing.Key{A: "spin_lock", B: "spin_unlock"}) {
 			withoutBoost = rank
 		}
 	}

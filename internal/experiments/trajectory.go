@@ -9,7 +9,7 @@ import (
 )
 
 // trajectoryFile mirrors the shape cmd/benchjson appends to
-// BENCH_trajectory.json: one entry per bench-json run, dated, each
+// BENCH_trajectory.json: one entry per bench-archive run, dated, each
 // carrying the standard Go benchmark readings.
 type trajectoryFile struct {
 	Entries []struct {

@@ -164,6 +164,15 @@ func (c *Collector) AddStat(checker, rule string, pos ctoken.Pos, z float64, che
 	})
 }
 
+// AddStats records one statistical report per counter-example site of a
+// rule instance — the one report loop of the statistical checkers. Every
+// site carries the instance's score and evidence.
+func (c *Collector) AddStats(checker, rule string, sites []ctoken.Pos, score float64, ev stats.Counter, msg string) {
+	for _, pos := range sites {
+		c.AddStat(checker, rule, pos, score, ev.Checks, ev.Examples(), msg)
+	}
+}
+
 // Len returns the number of distinct reports.
 func (c *Collector) Len() int { return len(c.byKey) }
 

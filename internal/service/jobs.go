@@ -61,7 +61,8 @@ type job struct {
 	respRaw  []byte             // encoded result body, exactly as served
 	canceled bool               // cancel requested (may still be running)
 	ending   string             // terminal state being persisted, then published
-	cancel   context.CancelFunc // non-nil once a worker holds the job
+	ctx      context.Context    // the run's context, set when a worker takes the job
+	cancel   context.CancelFunc // non-nil from the moment a worker takes the job
 	journal  *obs.Journal       // keyed by job id, shared across lifecycle
 	done     chan struct{}      // closed when the job reaches a terminal state
 }
@@ -84,8 +85,8 @@ type jobManager struct {
 	replay   []*job            // recovered jobs, id order; head runs before any queue
 	ring     []string          // tenants with queued work, round-robin
 	next     int               // ring cursor
-	queued   int               // jobs waiting across all tenants
-	running  int               // jobs executing right now
+	queued   int               // jobs not yet holding a run slot, across all tenants
+	running  int               // jobs holding a run slot right now
 	active   map[string]int    // per-tenant queued+running
 	runHook  func(*job)        // test seam, called at job start when set
 	stopping bool
@@ -270,7 +271,7 @@ func (m *jobManager) pop() *job {
 	for {
 		m.mu.Lock()
 		if j := m.dequeueLocked(); j != nil {
-			if m.queued > 0 {
+			if len(m.ring) > 0 {
 				m.signal() // more work: wake another idle worker
 			}
 			m.mu.Unlock()
@@ -285,13 +286,18 @@ func (m *jobManager) pop() *job {
 	}
 }
 
+// dequeueLocked hands the next job to a worker. The job stays queued —
+// in state, in the queued count and in the jobs_queued gauge — until the
+// worker holds a run slot for it; its context is created here, so a
+// cancel ends the wait for a slot.
 func (m *jobManager) dequeueLocked() *job {
 	var j *job
 	switch {
 	case len(m.replay) > 0:
 		// The replay head stays in place until its run settles, so
-		// recovered jobs run strictly one after another.
-		if j = m.replay[0]; j.state != JobQueued {
+		// recovered jobs run strictly one after another: a head a
+		// worker has taken is not handed out again.
+		if j = m.replay[0]; j.cancel != nil {
 			return nil
 		}
 	case len(m.ring) > 0:
@@ -309,55 +315,53 @@ func (m *jobManager) dequeueLocked() *job {
 	default:
 		return nil
 	}
-	m.queued--
-	m.running++
-	j.state = JobRunning
+	j.ctx, j.cancel = context.WithCancel(context.Background())
 	return j
 }
 
 // run executes one job to a terminal state. The job waits for a run
-// slot like any sync request and then runs under the same Timeout.
-// Cancellation is honored at the next observation point: the context
-// ends the wait for a slot and aborts fleet scatters, the deadline
-// bounds local compute, and a cancel-flagged job discards its result
-// instead of publishing it.
+// slot like any sync request, still queued, and then runs under the same
+// Timeout. Cancellation is honored at the next observation point: a
+// job canceled before it holds a slot is settled by cancelJob and never
+// starts, the context aborts fleet scatters, the deadline bounds local
+// compute, and a cancel-flagged running job discards its result instead
+// of publishing it.
 func (m *jobManager) run(j *job) {
 	s := m.s
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	defer j.cancel()
+	release, err := s.runSlot(j.ctx)
 	m.mu.Lock()
-	j.cancel = cancel
-	if j.canceled {
-		cancel() // canceled between pop and here
-	}
-	m.mu.Unlock()
-
-	var resp *AnalyzeResponse
-	errMsg := ""
-	if release, err := s.runSlot(ctx); err == nil {
-		m.mu.Lock()
-		alreadyCanceled := j.canceled
-		e := m.entryLocked(j) // state is running: a crash from here re-runs the job
+	if err != nil || j.canceled {
+		// Canceled while waiting: cancelJob settled it as a queued job.
 		m.mu.Unlock()
-		m.persist(e)
-		j.journal.Event("job_start", obs.A("tenant", j.tenant))
-		if m.runHook != nil {
-			m.runHook(j)
+		if err == nil {
+			release()
 		}
-		if !alreadyCanceled {
-			opts, err := s.buildOptions(j.req.Options)
-			if err == nil {
-				opts.Journal = j.journal
-				rctx, rcancel := context.WithTimeout(ctx, s.cfg.Timeout)
-				resp, err = s.execute(rctx, j.req, opts, j.id)
-				rcancel()
-			}
-			if err != nil {
-				errMsg = err.Error()
-			}
-		}
-		release()
+		return
 	}
+	m.queued--
+	m.running++
+	j.state = JobRunning
+	e := m.entryLocked(j) // state is running: a crash from here re-runs the job
+	m.mu.Unlock()
+	m.persist(e)
+	j.journal.Event("job_start", obs.A("tenant", j.tenant))
+	if m.runHook != nil {
+		m.runHook(j)
+	}
+	var resp *AnalyzeResponse
+	opts, err := s.buildOptions(j.req.Options)
+	if err == nil {
+		opts.Journal = j.journal
+		rctx, rcancel := context.WithTimeout(j.ctx, s.cfg.Timeout)
+		resp, err = s.execute(rctx, j.req, opts, j.id)
+		rcancel()
+	}
+	errMsg := ""
+	if err != nil {
+		errMsg = err.Error()
+	}
+	release()
 
 	// Encode the result body outside the lock. These are the exact bytes
 	// the result endpoint serves — and the exact bytes the job log
@@ -373,7 +377,6 @@ func (m *jobManager) run(j *job) {
 	}
 
 	m.mu.Lock()
-	j.cancel = nil
 	state := JobDone
 	switch {
 	case j.canceled:
@@ -444,12 +447,14 @@ func (m *jobManager) cancelJob(id string) (JobStatus, int, string) {
 		return st, http.StatusConflict, "job " + id + " already " + st.State
 	}
 	j.canceled = true
+	if j.cancel != nil {
+		j.cancel() // ends a worker's wait for a run slot, or the run itself
+	}
 	if j.state == JobQueued {
 		m.removeQueuedLocked(j)
 		m.settleLocked(j, JobCanceled, "", nil)
 		m.queued-- // after the write, so a drain waits for it
-	} else if j.cancel != nil {
-		j.cancel()
+		m.signal() // a worker may be parked behind a canceled replay head
 	}
 	st := j.statusLocked()
 	st.State = JobCanceled // the client's view: this job will not publish

@@ -368,6 +368,51 @@ func TestJobCancel(t *testing.T) {
 	}
 }
 
+// TestJobQueuedUntilRunSlot pins that a job a worker has taken but that
+// still waits for a run slot (held here as a sync analysis would hold
+// it) is queued on every surface: its status, the jobs_queued and
+// jobs_running gauges, and its cancellation, which ends it without a
+// job_start. Once the slot frees, the next job runs normally.
+func TestJobQueuedUntilRunSlot(t *testing.T) {
+	journal := &lockedBuffer{}
+	s := New(Config{MaxConcurrent: 1, JobsPerTenant: 8, JournalWriter: journal})
+	s.run <- struct{}{} // hold the only run slot
+
+	waiting, _ := submitJob(t, s, "a", svcSources())
+	waitMetric(t, s, "deviantd_queue_depth 1") // the job worker is at the gate
+	var st JobStatus
+	getJSON(t, s, "/v1/jobs/"+waiting.ID, &st)
+	if st.State != JobQueued {
+		t.Fatalf("job waiting for a run slot reports %q, want queued", st.State)
+	}
+	metrics := getJSON(t, s, "/metrics", nil).Body.String()
+	for _, line := range []string{"deviantd_jobs_queued 1\n", "deviantd_jobs_running 0\n"} {
+		if !strings.Contains(metrics, line) {
+			t.Errorf("/metrics lacks %q while the job waits for a slot", strings.TrimSpace(line))
+		}
+	}
+
+	rr := httptest.NewRecorder()
+	s.ServeHTTP(rr, httptest.NewRequest("DELETE", "/v1/jobs/"+waiting.ID, nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("cancel waiting job: %d: %s", rr.Code, rr.Body.Bytes())
+	}
+	getJSON(t, s, "/v1/jobs/"+waiting.ID, &st)
+	if st.State != JobCanceled {
+		t.Fatalf("waiting job reports %q right after cancel, want canceled", st.State)
+	}
+	waitMetric(t, s, "deviantd_jobs_queued 0")
+	if strings.Contains(journal.String(), `"job_start"`) {
+		t.Fatalf("a job canceled while waiting for a slot started:\n%s", journal.String())
+	}
+
+	<-s.run // free the slot: the worker is free for the next job
+	next, _ := submitJob(t, s, "a", svcSources())
+	if got := waitJob(t, s, next.ID); got.State != JobDone {
+		t.Fatalf("next job ended %q, want done", got.State)
+	}
+}
+
 // TestJobDrainWithJobsInFlight pins the drain promise: accepted jobs
 // finish, their results stay fetchable, and new submissions bounce with
 // 503 + Retry-After while the drain is underway.

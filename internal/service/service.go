@@ -321,10 +321,10 @@ func (s *Server) initMetrics() {
 	s.jobsCanceled = s.reg.Counter("deviantd_jobs_canceled_total",
 		"Async jobs canceled before publishing a result.")
 	s.reg.GaugeFunc("deviantd_jobs_queued",
-		"Async jobs waiting for a job worker.",
+		"Async jobs accepted but not yet holding a run slot.",
 		func() float64 { q, _ := s.jobs.counts(); return float64(q) })
 	s.reg.GaugeFunc("deviantd_jobs_running",
-		"Async jobs executing right now.",
+		"Async jobs holding a run slot.",
 		func() float64 { _, r := s.jobs.counts(); return float64(r) })
 	s.reg.CounterFunc("deviantd_snapshot_unit_hits",
 		"Snapshot lookups answered from the store.",
@@ -809,15 +809,15 @@ func (s *Server) recordRun(res *deviant.Result) {
 func (r *lastRun) rules() []JSONRule {
 	rules := make([]JSONRule, 0, len(r.pairs)+len(r.canFail)+len(r.lockBindings))
 	for _, p := range r.pairs {
-		rules = append(rules, JSONRule{Kind: "pair", A: p.A, B: p.B,
+		rules = append(rules, JSONRule{Kind: "pair", A: p.Key.A, B: p.Key.B,
 			Checks: p.Checks, Examples: p.Examples(), Z: p.Z})
 	}
 	for _, d := range r.canFail {
-		rules = append(rules, JSONRule{Kind: "can-fail", A: d.Func,
+		rules = append(rules, JSONRule{Kind: "can-fail", A: d.Key,
 			Checks: d.Checks, Examples: d.Examples(), Z: d.Z})
 	}
 	for _, b := range r.lockBindings {
-		rules = append(rules, JSONRule{Kind: "lock", A: b.Lock, B: b.Var,
+		rules = append(rules, JSONRule{Kind: "lock", A: b.Key.Lock, B: b.Key.Var,
 			Checks: b.Checks, Examples: b.Examples(), Z: b.Z})
 	}
 	return rules

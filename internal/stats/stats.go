@@ -1,6 +1,13 @@
 // Package stats implements the statistical ranking machinery of Section 5:
-// the z statistic for proportions, per-slot-instance check/error counters,
-// and error ranking.
+// the z statistic for proportions and the one MAY-belief template that
+// every statistical checker instantiates. A checker counts, per slot
+// instance, the rule's checks and errors (Evidence, keeping the first
+// MaxSites counter-example sites); Rank scores each instance by z(n, e)
+// against p0 — or z(n, n−e) for the inverse template — plus a latent-name
+// boost, and orders instances by score, ties in the checker's key order;
+// Reportable is the one floor that decides which instances report their
+// counter-examples. A checker keeps only its event logic, its key order
+// and its message text.
 //
 // The crucial design point, taken directly from the paper (§5.1), is that
 // z ranks *error messages*, not beliefs: a threshold on belief scores is
@@ -12,7 +19,9 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+
+	"deviant/internal/ctoken"
 )
 
 // DefaultP0 is the expected example probability used by the paper
@@ -74,94 +83,168 @@ func (c Counter) Z(p0 float64) float64 { return Z(c.Checks, c.Examples(), p0) }
 // String renders the counter as "e/n".
 func (c Counter) String() string { return fmt.Sprintf("%d/%d", c.Examples(), c.Checks) }
 
-// Population tracks counters for a universe of slot instances, keyed by a
-// caller-chosen string (e.g. "spin_lock:spin_unlock" or "var@lock").
-//
-// Counters are stored by value: Check is the hottest statistical path in
-// the pipeline (one call per candidate pair per statement), and a value
-// map costs zero allocations per check versus one *Counter box per
-// distinct key.
-type Population struct {
-	counters map[string]Counter
-}
+// MaxSites caps the counter-example sites kept per slot instance.
+const MaxSites = 64
 
-// NewPopulation returns an empty population.
-func NewPopulation() *Population {
-	return &Population{counters: make(map[string]Counter)}
-}
-
-// Check records one successful-or-failed test of key's rule: every call
-// increments Checks, and err additionally increments Errors.
-func (p *Population) Check(key string, err bool) {
-	c := p.counters[key]
-	c.Checks++
-	if err {
-		c.Errors++
+// AppendSites is the one site-cap rule: it appends pos to sites and keeps
+// the first MaxSites, in the order they arrive — event order, then merge
+// order across workers — repeats included. Checkers that rebuild their
+// sites from recorded paths (pairing, reverse) report every site,
+// uncapped.
+func AppendSites(sites []ctoken.Pos, pos ...ctoken.Pos) []ctoken.Pos {
+	if room := MaxSites - len(sites); len(pos) > room {
+		pos = pos[:max(room, 0)]
 	}
-	p.counters[key] = c
+	return append(sites, pos...)
 }
 
-// Merge folds another population's evidence into p. Counters are sums,
-// so the merged result is independent of merge order — the property the
-// parallel pipeline relies on when it shards counting across workers.
-func (p *Population) Merge(o *Population) {
-	for k, oc := range o.counters {
-		c := p.counters[k]
-		c.Checks += oc.Checks
-		c.Errors += oc.Errors
-		p.counters[k] = c
-	}
+// Evidence accumulates one MAY-belief template's evidence: a Counter per
+// slot instance K, plus that instance's counter-example sites under the
+// AppendSites cap. Entries are stored by value in one map, so a check
+// costs one lookup and one store and allocates nothing once its key
+// exists (beyond growing its site list). The zero value is ready to use.
+type Evidence[K comparable] struct {
+	m map[K]entry
 }
 
-// Get returns the counter for key (zero value if never checked).
-func (p *Population) Get(key string) Counter {
-	return p.counters[key]
-}
-
-// Len returns the number of distinct slot instances observed.
-func (p *Population) Len() int { return len(p.counters) }
-
-// Keys returns all keys, sorted.
-func (p *Population) Keys() []string {
-	keys := make([]string, 0, len(p.counters))
-	for k := range p.counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Ranked is one slot instance with its counter and z value.
-type Ranked struct {
-	Key string
+type entry struct {
 	Counter
-	ZVal float64
+	sites []ctoken.Pos
 }
 
-// RankedInstances returns all instances ordered by decreasing z (ties
-// broken by key for determinism). Boost, if non-nil, adds a bonus to the
-// sort score of selected keys — the latent-specification trick of
-// prioritizing pairs whose names contain "lock", "release", etc. (§5.1).
-func (p *Population) RankedInstances(p0 float64, boost func(key string) float64) []Ranked {
-	out := make([]Ranked, 0, len(p.counters))
-	for k, c := range p.counters {
-		out = append(out, Ranked{Key: k, Counter: c, ZVal: c.Z(p0)})
+// add folds a counter and its counter-example sites into k's entry.
+func (e *Evidence[K]) add(k K, c Counter, sites ...ctoken.Pos) {
+	if e.m == nil {
+		e.m = make(map[K]entry)
 	}
-	score := func(r Ranked) float64 {
-		s := r.ZVal
-		if boost != nil {
-			s += boost(r.Key)
-		}
-		return s
+	v := e.m[k]
+	v.Checks += c.Checks
+	v.Errors += c.Errors
+	v.sites = AppendSites(v.sites, sites...)
+	e.m[k] = v
+}
+
+// Count records one test of k's rule without keeping a site: every call
+// increments Checks, and err additionally increments Errors.
+func (e *Evidence[K]) Count(k K, err bool) {
+	if err {
+		e.add(k, Counter{Checks: 1, Errors: 1})
+	} else {
+		e.add(k, Counter{Checks: 1})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := score(out[i]), score(out[j])
-		if si != sj {
-			return si > sj
-		}
-		return out[i].Key < out[j].Key
-	})
+}
+
+// Check counts like Count and keeps a failed test's pos as one of k's
+// counter-example sites.
+func (e *Evidence[K]) Check(k K, err bool, pos ctoken.Pos) {
+	if err {
+		e.add(k, Counter{Checks: 1, Errors: 1}, pos)
+	} else {
+		e.add(k, Counter{Checks: 1})
+	}
+}
+
+// Merge folds o's evidence into e: counters sum, and site lists
+// concatenate in merge order under the cap — so folding per-worker
+// evidence in function order reproduces the serial evidence exactly.
+func (e *Evidence[K]) Merge(o *Evidence[K]) {
+	for k, v := range o.m {
+		e.add(k, v.Counter, v.sites...)
+	}
+}
+
+// Counter returns k's evidence (zero if never checked).
+func (e *Evidence[K]) Counter(k K) Counter { return e.m[k].Counter }
+
+// Sites returns k's counter-example sites, in event order.
+func (e *Evidence[K]) Sites(k K) []ctoken.Pos { return e.m[k].sites }
+
+// Instances lists every observed slot instance with its counter, in no
+// particular order and not yet scored; Rank scores and orders them.
+func (e *Evidence[K]) Instances() []Instance[K] {
+	out := make([]Instance[K], 0, len(e.m))
+	for k, v := range e.m {
+		out = append(out, Instance[K]{Key: k, Counter: v.Counter})
+	}
 	return out
+}
+
+// Rank scores and orders every instance of e (see Rank).
+func (e *Evidence[K]) Rank(o Order[K]) []Instance[K] { return Rank(e.Instances(), o) }
+
+// Instance is one slot instance of a template: its key, its evidence, z
+// under p0, and the latent-specification boost.
+type Instance[K comparable] struct {
+	Key K
+	Counter
+	Z     float64
+	Boost float64
+}
+
+// Score is the inspection ranking score: z plus the boost.
+func (in Instance[K]) Score() float64 { return in.Z + in.Boost }
+
+// Reportable is the one floor rule: an instance may report its
+// counter-examples when it has at least one, at least f.MinExamples
+// examples, and a score of at least f.MinScore.
+func (in Instance[K]) Reportable(f Floor) bool {
+	return in.Errors > 0 && in.Examples() >= f.MinExamples && in.Score() >= f.MinScore
+}
+
+// Floor sets the two thresholds of Reportable.
+type Floor struct {
+	MinExamples int
+	MinScore    float64
+}
+
+// AnyEvidence is the floor of every statistical checker except pairing
+// and reverse, whose floor comes from core.Options.MinPairExamples and
+// MinPairScore: one example and any score. §5.1 ranks errors rather than
+// thresholding beliefs, so this floor only drops instances with nothing
+// to contradict.
+var AnyEvidence = Floor{MinExamples: 1, MinScore: math.Inf(-1)}
+
+// Order says how Rank scores and orders one template's instances.
+type Order[K comparable] struct {
+	P0 float64
+	// Boost is the latent-specification bonus added to a key's score
+	// (§5.1: pairs named lock/unlock, routines named like allocators);
+	// nil adds nothing.
+	Boost func(K) float64
+	// Inverse ranks the negated template (§5's inverse principle) by
+	// z(n, n−e); counters are left as counted.
+	Inverse bool
+	// Compare orders keys of equal score. It must be a total order:
+	// output order may not depend on map iteration.
+	Compare func(a, b K) int
+}
+
+// Rank scores every instance under o and orders them by Score
+// descending, ties by o.Compare — the one sort behind every derived
+// table and every statistical report. ins is sorted in place and
+// returned.
+func Rank[K comparable](ins []Instance[K], o Order[K]) []Instance[K] {
+	for i := range ins {
+		in := &ins[i]
+		if o.Inverse {
+			in.Z = ZInverse(in.Checks, in.Examples(), o.P0)
+		} else {
+			in.Z = in.Counter.Z(o.P0)
+		}
+		if o.Boost != nil {
+			in.Boost = o.Boost(in.Key)
+		}
+	}
+	slices.SortFunc(ins, func(a, b Instance[K]) int {
+		if sa, sb := a.Score(), b.Score(); sa != sb {
+			if sa > sb {
+				return -1
+			}
+			return 1
+		}
+		return o.Compare(a.Key, b.Key)
+	})
+	return ins
 }
 
 // InspectionPoint is one step of a simulated inspection of a ranked error

@@ -2,8 +2,11 @@ package stats
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"deviant/internal/ctoken"
 )
 
 func TestZBasics(t *testing.T) {
@@ -71,33 +74,36 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestPopulationCheckAndRank(t *testing.T) {
-	p := NewPopulation()
+func TestEvidenceCheckAndRank(t *testing.T) {
+	var ev Evidence[string]
 	// Figure 1's counts: (a,l): 4 checks, 1 error; (b,l): 3 checks, 2 errors.
 	for i := 0; i < 4; i++ {
-		p.Check("a@l", i == 3)
+		ev.Check("a@l", i == 3, ctoken.Pos{Line: i})
 	}
-	p.Check("b@l", false)
-	p.Check("b@l", true)
-	p.Check("b@l", true)
+	ev.Check("b@l", false, ctoken.Pos{})
+	ev.Check("b@l", true, ctoken.Pos{Line: 10})
+	ev.Check("b@l", true, ctoken.Pos{Line: 11})
 
-	if got := p.Get("a@l"); got.Checks != 4 || got.Errors != 1 {
+	if got := ev.Counter("a@l"); got.Checks != 4 || got.Errors != 1 {
 		t.Errorf("a@l: %+v", got)
 	}
-	if p.Len() != 2 {
-		t.Errorf("len: %d", p.Len())
+	if got := ev.Sites("b@l"); len(got) != 2 || got[0].Line != 10 || got[1].Line != 11 {
+		t.Errorf("b@l sites: only counter-examples, in event order: %v", got)
 	}
-	ranked := p.RankedInstances(DefaultP0, nil)
-	if ranked[0].Key != "a@l" {
+	ranked := ev.Rank(Order[string]{P0: DefaultP0, Compare: strings.Compare})
+	if len(ranked) != 2 || ranked[0].Key != "a@l" {
 		t.Errorf("a@l should outrank b@l: %+v", ranked)
+	}
+	if ranked[0].Z != ev.Counter("a@l").Z(DefaultP0) {
+		t.Errorf("rank z %v, want the counter's", ranked[0].Z)
 	}
 }
 
 func TestRankedBoost(t *testing.T) {
-	p := NewPopulation()
+	var ev Evidence[string]
 	for i := 0; i < 10; i++ {
-		p.Check("foo:bar", i == 9)
-		p.Check("my_lock:my_unlock", i == 9)
+		ev.Count("foo:bar", i == 9)
+		ev.Count("my_lock:my_unlock", i == 9)
 	}
 	boost := func(key string) float64 {
 		if key == "my_lock:my_unlock" {
@@ -105,30 +111,103 @@ func TestRankedBoost(t *testing.T) {
 		}
 		return 0
 	}
-	ranked := p.RankedInstances(DefaultP0, boost)
-	if ranked[0].Key != "my_lock:my_unlock" {
+	ranked := ev.Rank(Order[string]{P0: DefaultP0, Boost: boost, Compare: strings.Compare})
+	if ranked[0].Key != "my_lock:my_unlock" || ranked[0].Score() != ranked[0].Z+1 {
 		t.Errorf("latent boost should promote lock pair: %+v", ranked)
 	}
 }
 
 func TestRankedDeterministicTies(t *testing.T) {
-	p := NewPopulation()
-	p.Check("b", false)
-	p.Check("a", false)
-	r := p.RankedInstances(DefaultP0, nil)
+	var ev Evidence[string]
+	ev.Count("b", false)
+	ev.Count("a", false)
+	r := ev.Rank(Order[string]{P0: DefaultP0, Compare: strings.Compare})
 	if r[0].Key != "a" || r[1].Key != "b" {
 		t.Errorf("ties should sort by key: %+v", r)
 	}
+	// The comparator, not the key's string form, breaks ties: a
+	// reversed order must reverse the ranking.
+	r = ev.Rank(Order[string]{P0: DefaultP0, Compare: func(a, b string) int { return strings.Compare(b, a) }})
+	if r[0].Key != "b" {
+		t.Errorf("ties should follow the supplied order: %+v", r)
+	}
 }
 
+// TestKeysSorted pins that Rank is a pure function of the evidence: every
+// observed key appears once, whatever order the keys were first seen in.
 func TestKeysSorted(t *testing.T) {
-	p := NewPopulation()
-	p.Check("z", false)
-	p.Check("a", false)
-	p.Check("m", false)
-	keys := p.Keys()
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "z" {
-		t.Errorf("keys: %v", keys)
+	var ev Evidence[string]
+	ev.Count("z", false)
+	ev.Count("a", false)
+	ev.Count("m", false)
+	r := ev.Rank(Order[string]{P0: DefaultP0, Compare: strings.Compare})
+	if len(r) != 3 || r[0].Key != "a" || r[1].Key != "m" || r[2].Key != "z" {
+		t.Errorf("keys: %+v", r)
+	}
+}
+
+func TestInverseRank(t *testing.T) {
+	var ev Evidence[string]
+	for i := 0; i < 10; i++ {
+		ev.Count("checked", i == 9) // 9/10 checked
+		ev.Count("never", i != 0)   // 1/10 checked
+	}
+	inv := ev.Rank(Order[string]{P0: DefaultP0, Inverse: true, Compare: strings.Compare})
+	if inv[0].Key != "never" {
+		t.Fatalf("inverse template should rank the rarely-checked key first: %+v", inv)
+	}
+	if inv[0].Z != ZInverse(10, 1, DefaultP0) || inv[0].Errors != 9 {
+		t.Errorf("inverse z is z(n, n-e) over the counters as counted: %+v", inv[0])
+	}
+}
+
+func TestSiteCapAndMerge(t *testing.T) {
+	var a, b Evidence[string]
+	for i := 0; i < MaxSites-1; i++ {
+		a.Check("k", true, ctoken.Pos{Line: i})
+	}
+	b.Check("k", true, ctoken.Pos{Line: 1000})
+	b.Check("k", true, ctoken.Pos{Line: 1001})
+	b.Check("k", false, ctoken.Pos{Line: 1002})
+	a.Merge(&b)
+	if c := a.Counter("k"); c.Checks != MaxSites+2 || c.Errors != MaxSites+1 {
+		t.Errorf("merged counter: %+v", c)
+	}
+	sites := a.Sites("k")
+	if len(sites) != MaxSites || sites[MaxSites-1].Line != 1000 {
+		t.Errorf("merge keeps the first %d sites in merge order: %d sites, last %v",
+			MaxSites, len(sites), sites[len(sites)-1])
+	}
+	// Repeats count against the cap like any other site.
+	var r Evidence[string]
+	for i := 0; i < MaxSites+5; i++ {
+		r.Check("k", true, ctoken.Pos{Line: 7})
+	}
+	if len(r.Sites("k")) != MaxSites {
+		t.Errorf("repeated site kept %d times, want %d", len(r.Sites("k")), MaxSites)
+	}
+}
+
+func TestFloor(t *testing.T) {
+	in := func(checks, errors int, z float64) Instance[string] {
+		return Instance[string]{Counter: Counter{Checks: checks, Errors: errors}, Z: z}
+	}
+	pair := Floor{MinExamples: 2, MinScore: 1}
+	for _, tc := range []struct {
+		in   Instance[string]
+		f    Floor
+		want bool
+	}{
+		{in(3, 1, -5), AnyEvidence, true},
+		{in(3, 0, 5), AnyEvidence, false}, // nothing to report
+		{in(3, 3, 5), AnyEvidence, false}, // no example
+		{in(3, 1, 1), pair, true},
+		{in(2, 1, 1), pair, false},   // one example
+		{in(3, 1, 0.9), pair, false}, // score under the floor
+	} {
+		if got := tc.in.Reportable(tc.f); got != tc.want {
+			t.Errorf("%+v under %+v: %v, want %v", tc.in, tc.f, got, tc.want)
+		}
 	}
 }
 
@@ -177,17 +256,19 @@ func TestInspectionCurveSums(t *testing.T) {
 	}
 }
 
-// Property: RankedInstances is ordered by non-increasing z and contains
-// every observed key exactly once, with Errors <= Checks.
+// Property: Rank is ordered by non-increasing score and contains every
+// observed key exactly once, with Errors <= Checks.
 func TestRankedInstancesInvariants(t *testing.T) {
 	f := func(events []bool) bool {
-		p := NewPopulation()
+		var ev Evidence[string]
 		keys := []string{"a", "b", "c", "d"}
+		seenKeys := map[string]bool{}
 		for i, e := range events {
-			p.Check(keys[i%len(keys)], e)
+			ev.Count(keys[i%len(keys)], e)
+			seenKeys[keys[i%len(keys)]] = true
 		}
-		ranked := p.RankedInstances(DefaultP0, nil)
-		if len(ranked) != p.Len() {
+		ranked := ev.Rank(Order[string]{P0: DefaultP0, Compare: strings.Compare})
+		if len(ranked) != len(seenKeys) {
 			return false
 		}
 		seen := map[string]bool{}
@@ -197,10 +278,10 @@ func TestRankedInstancesInvariants(t *testing.T) {
 				return false
 			}
 			seen[r.Key] = true
-			if i > 0 && r.ZVal > prev {
+			if i > 0 && r.Score() > prev {
 				return false
 			}
-			prev = r.ZVal
+			prev = r.Score()
 		}
 		return true
 	}
