@@ -229,9 +229,24 @@ func (c *Checker) FuncEnd(engine.State, *engine.Ctx) {}
 // worker's shard of functions.
 func (c *Checker) Fork() *Checker { f := New(c.conv); f.p0 = c.p0; return f }
 
-// Merge folds a fork's evidence into c (see stats.Evidence.Merge), so
-// folding shards in function order reproduces the serial evidence.
-func (c *Checker) Merge(o *Checker) { c.ev.Merge(&o.ev) }
+// Partial is the evidence a run of the checker over some functions
+// counted, sharing no memory with the checker that counted it.
+type Partial struct {
+	ev []stats.Item[string]
+}
+
+// TakePartial moves the evidence c counted since the last take into an
+// exact-size Partial (empty when there is none) and resets c for the
+// next function.
+func (c *Checker) TakePartial() Partial { return Partial{c.ev.Take()} }
+
+// Fold adds p's evidence to c without modifying p (see
+// stats.Evidence.AddItems), so folding per-function partials in function
+// order reproduces the serial evidence.
+func (c *Checker) Fold(p Partial) { c.ev.AddItems(p.ev) }
+
+// Merge folds a fork's evidence into c (see Fold) and empties the fork.
+func (c *Checker) Merge(o *Checker) { c.Fold(o.TakePartial()) }
 
 // Derived is the evidence for one routine.
 type Derived = stats.Instance[string]

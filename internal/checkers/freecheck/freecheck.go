@@ -208,3 +208,13 @@ func (c *Checker) Fork() *Checker { return c }
 
 // Merge is a no-op; see Fork.
 func (c *Checker) Merge(*Checker) {}
+
+// Partial is a function's evidence: none, since the checker's findings
+// are all reports (see Fork).
+type Partial struct{}
+
+// TakePartial returns the empty Partial.
+func (c *Checker) TakePartial() Partial { return Partial{} }
+
+// Fold is a no-op; see Partial.
+func (c *Checker) Fold(Partial) {}

@@ -246,11 +246,27 @@ func (c *Checker) FuncEnd(engine.State, *engine.Ctx) {}
 // worker's shard of functions.
 func (c *Checker) Fork() *Checker { f := New(c.conv); f.p0 = c.p0; return f }
 
-// Merge folds a fork's evidence into c (see stats.Evidence.Merge).
-func (c *Checker) Merge(o *Checker) {
-	c.use.Merge(&o.use)
-	c.never.Merge(&o.never)
+// Partial is the evidence a run of the checker over some functions
+// counted, on both sides, sharing no memory with the checker that counted
+// it.
+type Partial struct {
+	use, never []stats.Item[string]
 }
+
+// TakePartial moves the evidence c counted since the last take into an
+// exact-size Partial (empty when there is none) and resets c for the
+// next function.
+func (c *Checker) TakePartial() Partial { return Partial{c.use.Take(), c.never.Take()} }
+
+// Fold adds p's evidence to c without modifying p (see
+// stats.Evidence.AddItems).
+func (c *Checker) Fold(p Partial) {
+	c.use.AddItems(p.use)
+	c.never.AddItems(p.never)
+}
+
+// Merge folds a fork's evidence into c (see Fold) and empties the fork.
+func (c *Checker) Merge(o *Checker) { c.Fold(o.TakePartial()) }
 
 // Derived is the IS_ERR evidence for one routine, counted on its
 // majority side: Errors are the minority's results.

@@ -13,6 +13,8 @@
 package lockvar
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -45,14 +47,10 @@ type Checker struct {
 	heldAt   map[Key]int    // (v, l) → accesses of v made while l held (= Examples)
 	must     map[Key]bool   // promoted MUST pairs (single-var critical sections)
 
-	// Unprotected access sites, as one flat event-ordered log keyed by
-	// (v, held-set signature): the record is an error site for every
-	// candidate (v, l) whose lock is absent from the signature. siteN
-	// caps records per (v, signature) — retaining each signature's first
-	// stats.MaxSites records retains every pair's first stats.MaxSites
-	// matching records, which is all reporting reads.
-	siteLog []siteRec
-	siteN   map[Key]int // key: {v, signature}
+	// Access sites, one record per shared access keyed by (v, held-set
+	// signature): the record is an error site for every candidate (v, l)
+	// whose lock is absent from the signature (see stats.SetLog).
+	log stats.SetLog
 
 	// Fork-local hot-path caches (single goroutine each): slot keys and
 	// lock ids are functions of the AST node alone, and the engine
@@ -66,28 +64,6 @@ type Checker struct {
 // Key identifies one (variable, lock) candidate pair.
 type Key struct {
 	Var, Lock string
-}
-
-// siteRec is one recorded shared-variable access with the lock-set held
-// at the time, as the state's comma-terminated sorted signature (empty =
-// no locks held). Log position is event order (fork order then
-// within-fork order after Merge).
-type siteRec struct {
-	v, sig string
-	pos    ctoken.Pos
-}
-
-// sigHas reports whether the comma-terminated signature contains l as a
-// whole token.
-func sigHas(sig, l string) bool {
-	for len(sig) > 0 {
-		i := strings.IndexByte(sig, ',')
-		if sig[:i] == l {
-			return true
-		}
-		sig = sig[i+1:]
-	}
-	return false
 }
 
 // compareKeys orders pairs exactly as the former "v+\"@\"+l" string
@@ -120,7 +96,6 @@ func New(prog *csem.Program, conv *latent.Conventions) *Checker {
 		accesses: make(map[string]int),
 		heldAt:   make(map[Key]int),
 		must:     make(map[Key]bool),
-		siteN:    make(map[Key]int),
 		keyCache: make(map[cast.Expr]string),
 		lockIDs:  make(map[*cast.CallExpr]string),
 	}
@@ -515,11 +490,7 @@ func (c *Checker) Event(st engine.State, ev *engine.Event, ctx *engine.Ctx) {
 			for l := range s.held {
 				c.heldAt[Key{v, l}]++
 			}
-			k := Key{v, sig}
-			if c.siteN[k] < stats.MaxSites {
-				c.siteN[k]++
-				c.siteLog = append(c.siteLog, siteRec{v: v, sig: sig, pos: ev.Pos})
-			}
+			c.log.Add(v, sig, ev.Pos)
 		}
 		for v := range s.stmtVars {
 			delete(s.stmtVars, v)
@@ -545,38 +516,75 @@ func (c *Checker) Fork() *Checker {
 		accesses: make(map[string]int),
 		heldAt:   make(map[Key]int),
 		must:     c.must,
-		siteN:    make(map[Key]int),
 		keyCache: make(map[cast.Expr]string),
 		lockIDs:  make(map[*cast.CallExpr]string),
 	}
 }
 
-// Merge folds a fork's evidence into c: counters sum; the site logs
-// concatenate in merge order (fork order, then within-fork event order),
-// re-applying the per-key cap.
-func (c *Checker) Merge(o *Checker) {
-	c.bindings = nil
-	if len(c.accesses) == 0 && len(c.siteLog) == 0 {
-		// First fork folds into an empty root (always the case for the
-		// serial pipeline): adopt its accumulators instead of re-building
-		// them one insert at a time.
-		c.accesses, c.heldAt, c.siteN, c.siteLog = o.accesses, o.heldAt, o.siteN, o.siteLog
-		return
-	}
-	for v, n := range o.accesses {
-		c.accesses[v] += n
-	}
-	for k, n := range o.heldAt {
-		c.heldAt[k] += n
-	}
-	for _, r := range o.siteLog {
-		k := Key{r.v, r.sig}
-		if c.siteN[k] < stats.MaxSites {
-			c.siteN[k]++
-			c.siteLog = append(c.siteLog, r)
+// FactsDigest hashes the pre-pass facts New derived from the program: the
+// lock universe, the shared-variable universe and the promoted MUST
+// pairs. Traversal evidence depends on nothing else the program-wide
+// pre-pass knows, so a partial counted under one digest folds into any
+// checker with the same digest.
+func (c *Checker) FactsDigest() string {
+	h := sha256.New()
+	for _, part := range [][]string{sortedKeys(c.locks), sortedKeys(c.globals)} {
+		for _, k := range part {
+			h.Write([]byte(k))
+			h.Write([]byte{0})
 		}
+		h.Write([]byte{1})
 	}
+	must := make([]Key, 0, len(c.must))
+	for k := range c.must {
+		must = append(must, k)
+	}
+	sort.Slice(must, func(i, j int) bool { return compareKeys(must[i], must[j]) < 0 })
+	for _, k := range must {
+		h.Write([]byte(k.Var + "\x00" + k.Lock + "\x00"))
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
+
+func sortedKeys(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Partial is the evidence a run of the checker over some functions
+// counted — per-variable accesses, per-pair held accesses and the access
+// site log — sharing no memory with the checker that counted it.
+type Partial struct {
+	accesses []stats.Count[string]
+	heldAt   []stats.Count[Key]
+	sites    []stats.SetRec
+}
+
+// TakePartial moves the evidence c counted since the last take into an
+// exact-size Partial (empty when there is none) and resets c's
+// accumulators, keeping their capacity and c's key caches.
+func (c *Checker) TakePartial() Partial {
+	c.bindings = nil
+	return Partial{stats.TakeCounts(c.accesses), stats.TakeCounts(c.heldAt), c.log.Take()}
+}
+
+// Fold adds p's evidence to c without modifying p: counters sum, and the
+// site log appends p's records in order, re-applying the per-key cap — so
+// folding per-function partials in function order reproduces the serial
+// evidence.
+func (c *Checker) Fold(p Partial) {
+	c.bindings = nil
+	stats.AddCounts(c.accesses, p.accesses)
+	stats.AddCounts(c.heldAt, p.heldAt)
+	c.log.AddRecs(p.sites)
+}
+
+// Merge folds a fork's evidence into c (see Fold) and empties the fork.
+func (c *Checker) Merge(o *Checker) { c.Fold(o.TakePartial()) }
 
 // ---------------------------------------------------------------------------
 // results
@@ -648,39 +656,34 @@ func (c *Checker) SpuriousLocks(minZ float64) []string {
 func (c *Checker) Finish(col *report.Collector) {
 	// Every binding is plausible — pairs never held while used are
 	// coincidences, not protection protocols, and Bindings never
-	// enumerates them. Index the reportable ones by variable first so one
-	// pass over the site log, in event order, distributes every binding's
-	// unprotected accesses under the stats.AppendSites cap.
+	// enumerates them. One pass over the site log, in event order,
+	// distributes the reportable bindings' unprotected accesses.
 	bindings := c.Bindings()
-	byVar := make(map[string][]int)
+	var rows []int
+	var queries []stats.SetKey
 	for i := range bindings {
 		if b := &bindings[i]; b.Reportable(stats.AnyEvidence) {
-			byVar[b.Key.Var] = append(byVar[b.Key.Var], i)
+			rows = append(rows, i)
+			queries = append(queries, stats.SetKey{Slot: b.Key.Var, Member: b.Key.Lock})
 		}
 	}
-	if len(byVar) == 0 {
+	if len(rows) == 0 {
 		return
 	}
-	sites := make([][]ctoken.Pos, len(bindings))
-	for _, r := range c.siteLog {
-		for _, i := range byVar[r.v] {
-			if !sigHas(r.sig, bindings[i].Key.Lock) {
-				sites[i] = stats.AppendSites(sites[i], r.pos)
-			}
-		}
-	}
-	for i, b := range bindings {
-		if len(sites[i]) == 0 {
+	sites := c.log.Sites(queries)
+	for j, i := range rows {
+		b := bindings[i]
+		if len(sites[j]) == 0 {
 			continue
 		}
 		rule := fmt.Sprintf("variable %s must be protected by lock %s", b.Key.Var, b.Key.Lock)
 		msg := fmt.Sprintf("%s accessed without %s held (protected %d/%d times elsewhere)",
 			b.Key.Var, b.Key.Lock, b.Examples(), b.Checks)
 		if !b.Must {
-			col.AddStats("lockvar", rule, sites[i], b.Score(), b.Counter, msg)
+			col.AddStats("lockvar", rule, sites[j], b.Score(), b.Counter, msg)
 			continue
 		}
-		for _, pos := range sites[i] {
+		for _, pos := range sites[j] {
 			col.AddMust("lockvar", rule, pos, report.Serious, 0, msg+" [promoted: sole variable of a critical section]")
 		}
 	}

@@ -52,10 +52,12 @@ func AllChecks() Config {
 // (use-then-check / redundant) errors.
 type Checker struct {
 	cfgn Config
-	// checkObs aggregates, per null-check site, the belief observations
+	// obs aggregates, per null-check site, the belief observations
 	// arriving on every path (use-then-check and redundant-check demand
-	// agreement across paths).
-	checkObs map[string]*checkObservation
+	// agreement across paths), in first-observation order; obsIdx finds
+	// a site's entry by its key.
+	obs    []checkObservation
+	obsIdx map[string]int
 	// keyCache memoizes keyOf per AST node: the engine revisits the same
 	// expressions once per path, and member-chain keys concatenate.
 	// Per-fork (single goroutine), like obsBuf below.
@@ -65,19 +67,22 @@ type Checker struct {
 }
 
 type checkObservation struct {
+	site     string // pos and key, the site's identity in obsIdx
 	pos      ctoken.Pos
 	key      string
 	facts    belief.Fact // union of facts over all visiting paths
-	srcs     map[belief.Source]bool
+	srcs     uint8       // set of belief.Source values seen, one bit each
 	minSpan  int
 	derefPos int // line of the most recent deref feeding the belief
 }
+
+func (o *checkObservation) hasSrc(s belief.Source) bool { return o.srcs&(1<<s) != 0 }
 
 // New returns a checker with the given configuration.
 func New(cfgn Config) *Checker {
 	return &Checker{
 		cfgn:     cfgn,
-		checkObs: make(map[string]*checkObservation),
+		obsIdx:   make(map[string]int),
 		keyCache: make(map[cast.Expr]string),
 	}
 }
@@ -335,17 +340,20 @@ func (c *Checker) observe(s *state, key string, pos ctoken.Pos, ctx *engine.Ctx)
 	b = append(b, '|')
 	b = append(b, key...)
 	c.obsBuf = b
-	obs := c.checkObs[string(b)]
-	if obs == nil {
-		obs = &checkObservation{pos: pos, key: key, srcs: make(map[belief.Source]bool), minSpan: 1 << 30}
-		c.checkObs[string(b)] = obs
+	i, ok := c.obsIdx[string(b)]
+	if !ok {
+		site := string(b)
+		i = len(c.obs)
+		c.obs = append(c.obs, checkObservation{site: site, pos: pos, key: key, minSpan: 1 << 30})
+		c.obsIdx[site] = i
 	}
+	obs := &c.obs[i]
 	obs.facts |= info.Facts
 	if info.Facts == belief.Unknown {
 		// A path with no knowledge defeats "known on every path".
 		obs.facts = belief.Either
 	}
-	obs.srcs[info.Src] = true
+	obs.srcs |= 1 << info.Src
 	span := pos.Line - info.Line
 	if span < 0 {
 		span = -span
@@ -397,7 +405,8 @@ func (c *Checker) FuncEnd(engine.State, *engine.Ctx) {}
 // check site: use-then-check and redundant-check. Call it once after all
 // functions have been analyzed.
 func (c *Checker) Finish(col *report.Collector) {
-	for _, obs := range c.checkObs {
+	for i := range c.obs {
+		obs := &c.obs[i]
 		// All paths must agree on a precise value.
 		var known belief.Fact
 		switch {
@@ -411,7 +420,7 @@ func (c *Checker) Finish(col *report.Collector) {
 		if obs.minSpan > SpanThreshold {
 			continue // distant enough to be defensive programming
 		}
-		derefed := obs.srcs[belief.SrcDeref] || obs.srcs[belief.SrcMixed]
+		derefed := obs.hasSrc(belief.SrcDeref) || obs.hasSrc(belief.SrcMixed)
 		if c.cfgn.UseThenCheck && known == belief.NotNull && derefed {
 			col.AddMust(
 				"null/use-then-check",
@@ -438,32 +447,63 @@ func (c *Checker) Finish(col *report.Collector) {
 
 // Reset clears accumulated cross-path observations (for reuse across
 // corpora).
-func (c *Checker) Reset() { c.checkObs = make(map[string]*checkObservation) }
+func (c *Checker) Reset() {
+	clear(c.obs)
+	c.obs = c.obs[:0]
+	clear(c.obsIdx)
+}
 
 // Fork returns a checker with c's configuration and an empty observation
 // table, for one worker's shard of functions.
 func (c *Checker) Fork() *Checker { return New(c.cfgn) }
 
-// Merge folds a fork's observations back into c. A check site belongs to
-// exactly one function, so function-disjoint shards observe disjoint
-// sites and the union cannot depend on merge order; colliding keys are
-// still folded field-by-field for safety.
-func (c *Checker) Merge(o *Checker) {
-	for k, obs := range o.checkObs {
-		have, ok := c.checkObs[k]
+// Partial is what a run of the checker over some functions observed: its
+// check-site observations, as values that share nothing with the checker
+// that produced them.
+type Partial struct {
+	obs []checkObservation
+}
+
+// TakePartial moves everything c observed since the last take into an
+// exact-size Partial (empty when c observed nothing) and resets c,
+// keeping its tables' capacity and its key cache. A fork takes one
+// partial per function; folding them in function order reproduces one
+// fork's observations of all those functions.
+func (c *Checker) TakePartial() Partial {
+	if len(c.obs) == 0 {
+		return Partial{}
+	}
+	p := Partial{obs: make([]checkObservation, len(c.obs))}
+	copy(p.obs, c.obs)
+	c.Reset()
+	return p
+}
+
+// Fold adds p's observations to c, copying them: p is never modified and
+// may be folded into any number of checkers. A check site belongs to
+// exactly one function, so the partials of distinct functions observe
+// disjoint sites and their union cannot depend on fold order; a colliding
+// site is still folded field by field.
+func (c *Checker) Fold(p Partial) {
+	for _, o := range p.obs {
+		i, ok := c.obsIdx[o.site]
 		if !ok {
-			c.checkObs[k] = obs
+			c.obsIdx[o.site] = len(c.obs)
+			c.obs = append(c.obs, o)
 			continue
 		}
-		have.facts |= obs.facts
-		for s := range obs.srcs {
-			have.srcs[s] = true
+		have := &c.obs[i]
+		have.facts |= o.facts
+		have.srcs |= o.srcs
+		if o.minSpan < have.minSpan {
+			have.minSpan = o.minSpan
 		}
-		if obs.minSpan < have.minSpan {
-			have.minSpan = obs.minSpan
-		}
-		if obs.derefPos != 0 {
-			have.derefPos = obs.derefPos
+		if o.derefPos != 0 {
+			have.derefPos = o.derefPos
 		}
 	}
 }
+
+// Merge folds a fork's observations into c (see Fold) and empties the
+// fork.
+func (c *Checker) Merge(o *Checker) { c.Fold(o.TakePartial()) }

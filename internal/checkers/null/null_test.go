@@ -374,9 +374,9 @@ void f(struct node *list) {
 
 func TestResetClearsObservations(t *testing.T) {
 	ch := New(AllChecks())
-	ch.checkObs["x"] = &checkObservation{}
+	ch.Fold(Partial{obs: []checkObservation{{site: "x"}}})
 	ch.Reset()
-	if len(ch.checkObs) != 0 {
+	if len(ch.obs) != 0 || len(ch.obsIdx) != 0 {
 		t.Error("reset failed")
 	}
 }

@@ -72,7 +72,16 @@ type Checker struct {
 	conv   *latent.Conventions
 	limits Limits
 	tmpl   *Template
-	paths  [][]callRef
+	// paths are the recorded call sequences. Each function's paths are
+	// views into one exact-size array of its calls, never written after
+	// AddFunction returns, so Fold shares them instead of copying.
+	paths [][]callRef
+
+	// Scratch reused across AddFunction calls: the current path's calls,
+	// and the function's recorded calls with each path's end offset.
+	cur  []callRef
+	buf  []callRef
+	ends []int
 }
 
 // New returns an empty pairing deriver.
@@ -91,7 +100,10 @@ func NewTemplate(conv *latent.Conventions, limits Limits, tmpl *Template) *Check
 // cycle are abandoned rather than recorded as truncated (a truncated
 // record would claim the path "never reached the unlock").
 func (c *Checker) AddFunction(g *cfg.Graph) {
-	var cur []callRef
+	c.buf, c.ends = c.buf[:0], c.ends[:0]
+	// Deferred, so the paths recorded before a panic are kept too.
+	defer c.keepPaths()
+	cur := c.cur[:0]
 	paths := 0
 	var walk func(b *cfg.Block, onPath map[int]int, isErr bool)
 	walk = func(b *cfg.Block, onPath map[int]int, isErr bool) {
@@ -127,7 +139,8 @@ func (c *Checker) AddFunction(g *cfg.Graph) {
 		}
 		if len(b.Succs) == 0 {
 			if len(cur) > 0 && (isErr || c.tmpl.ErrorReturn == nil) {
-				c.paths = append(c.paths, append([]callRef(nil), cur...))
+				c.buf = append(c.buf, cur...)
+				c.ends = append(c.ends, len(c.buf))
 			}
 			paths++
 		} else {
@@ -138,6 +151,22 @@ func (c *Checker) AddFunction(g *cfg.Graph) {
 		cur = cur[:mark]
 	}
 	walk(g.Entry, map[int]int{}, false)
+	c.cur = cur
+}
+
+// keepPaths moves the paths AddFunction recorded in the scratch into one
+// exact-size array of the function's calls, appending a view per path.
+func (c *Checker) keepPaths() {
+	if len(c.ends) == 0 {
+		return
+	}
+	calls := make([]callRef, len(c.buf))
+	copy(calls, c.buf)
+	lo := 0
+	for _, hi := range c.ends {
+		c.paths = append(c.paths, calls[lo:hi:hi])
+		lo = hi
+	}
 }
 
 func (c *Checker) collectCalls(n cast.Node, cur []callRef) []callRef {
@@ -176,12 +205,35 @@ func (c *Checker) callsCrash(n cast.Node) bool {
 // functions.
 func (c *Checker) Fork() *Checker { return NewTemplate(c.conv, c.limits, c.tmpl) }
 
-// Merge appends a fork's recorded paths to c. Folding shards in function
-// order reproduces the serial path list exactly, so Derive and Finish see
-// the same evidence in the same order.
-func (c *Checker) Merge(o *Checker) {
-	c.paths = append(c.paths, o.paths...)
+// Partial is the call-sequence paths a run of the deriver over some
+// functions recorded. Its paths are read-only: folds share them.
+type Partial struct {
+	paths [][]callRef
 }
+
+// TakePartial moves the paths c recorded since the last take into an
+// exact-size Partial (empty when there are none) and resets c's path
+// list.
+func (c *Checker) TakePartial() Partial {
+	if len(c.paths) == 0 {
+		return Partial{}
+	}
+	p := Partial{paths: make([][]callRef, len(c.paths))}
+	copy(p.paths, c.paths)
+	clear(c.paths)
+	c.paths = c.paths[:0]
+	return p
+}
+
+// Fold appends p's paths to c; neither side ever writes a recorded path,
+// so p stays unmodified. Folding per-function partials in function order
+// reproduces the serial path list exactly, so Derive and Finish see the
+// same evidence in the same order.
+func (c *Checker) Fold(p Partial) { c.paths = append(c.paths, p.paths...) }
+
+// Merge appends a fork's recorded paths to c (see Fold) and empties the
+// fork.
+func (c *Checker) Merge(o *Checker) { c.Fold(o.TakePartial()) }
 
 // Key is one ordered call pair (a, b).
 type Key struct {

@@ -8,7 +8,6 @@ package seccheck
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
 	"deviant/internal/cast"
 	"deviant/internal/engine"
@@ -26,12 +25,19 @@ func DefaultPredicates() map[string]bool {
 }
 
 // Checker accumulates security-check evidence across a program.
+//
+// The evidence factors like lockvar's: Checks(x, y) is the calls to x and
+// Examples(x, y) the calls to x made with check y dominating, so a call
+// costs one count for x plus one per dominating check (usually none), and
+// its site goes once into a log keyed by (x, checked-set signature); the
+// call is an error site of every (x, y) whose y the signature lacks.
 type Checker struct {
-	preds     map[string]bool
-	predNames []string // preds, listed once for the per-call loop
-	p0        float64
+	preds map[string]bool
+	p0    float64
 
-	ev stats.Evidence[Key] // counter-example: an unprotected call
+	calls   map[string]int // x → calls (= Checks of every (x, y))
+	guarded map[Key]int    // (x, y) → calls of x with y checked (= Examples)
+	log     stats.SetLog   // slot x, set: the checked predicates
 	// seenPreds tracks which predicates were ever seen so the universe
 	// of Y slots is bounded by reality.
 	seenPreds map[string]bool
@@ -52,12 +58,8 @@ func New(preds map[string]bool) *Checker {
 	if preds == nil {
 		preds = DefaultPredicates()
 	}
-	c := &Checker{preds: preds, p0: stats.DefaultP0, seenPreds: make(map[string]bool)}
-	for y := range preds {
-		c.predNames = append(c.predNames, y)
-	}
-	slices.Sort(c.predNames)
-	return c
+	return &Checker{preds: preds, p0: stats.DefaultP0,
+		calls: make(map[string]int), guarded: make(map[Key]int), seenPreds: make(map[string]bool)}
 }
 
 // Name implements engine.Checker.
@@ -68,12 +70,24 @@ func (c *Checker) Name() string { return "seccheck" }
 func (c *Checker) SetP0(p0 float64) { c.p0 = p0 }
 
 // state carries the set of predicates that dominated the current point.
+// sig caches the set's signature between branches on a predicate, which
+// are rare next to calls.
 type state struct {
 	checked map[string]bool
+	sig     string
+	sigOK   bool
+}
+
+// sigFor returns the checked set's cached signature ("" when empty).
+func (s *state) sigFor() string {
+	if !s.sigOK {
+		s.sig, s.sigOK = s.Key(), true
+	}
+	return s.sig
 }
 
 func (s *state) Clone() engine.State {
-	ns := &state{}
+	ns := &state{sig: s.sig, sigOK: s.sigOK}
 	if len(s.checked) > 0 {
 		ns.checked = make(map[string]bool, len(s.checked))
 		for k := range s.checked {
@@ -106,8 +120,8 @@ func (c *Checker) NewState(*cast.FuncDecl) engine.State {
 	return &state{}
 }
 
-// Event implements engine.Checker: every non-predicate call is counted
-// against each known predicate.
+// Event implements engine.Checker: every non-predicate call counts once
+// for its callee, once per dominating check, and logs its site.
 func (c *Checker) Event(st engine.State, ev *engine.Event, ctx *engine.Ctx) {
 	if ev.Kind != engine.EvCall {
 		return
@@ -117,9 +131,11 @@ func (c *Checker) Event(st engine.State, ev *engine.Event, ctx *engine.Ctx) {
 	if name == "" || c.preds[name] {
 		return
 	}
-	for _, y := range c.predNames {
-		c.ev.Check(Key{name, y}, !s.checked[y], ev.Pos)
+	c.calls[name]++
+	for y := range s.checked {
+		c.guarded[Key{name, y}]++
 	}
+	c.log.Add(name, s.sigFor(), ev.Pos)
 }
 
 // Branch implements engine.Checker: a branch whose condition calls a
@@ -137,6 +153,7 @@ func (c *Checker) Branch(st engine.State, cond cast.Expr, val bool, ctx *engine.
 					s.checked = make(map[string]bool)
 				}
 				s.checked[name] = true
+				s.sigOK = false
 				c.seenPreds[name] = true
 				found = true
 			}
@@ -150,18 +167,45 @@ func (c *Checker) FuncEnd(engine.State, *engine.Ctx) {}
 
 // Fork returns an empty checker sharing c's predicate set, for one
 // worker's shard of functions.
-func (c *Checker) Fork() *Checker {
-	return &Checker{preds: c.preds, predNames: c.predNames, p0: c.p0, seenPreds: make(map[string]bool)}
+func (c *Checker) Fork() *Checker { f := New(c.preds); f.p0 = c.p0; return f }
+
+// Partial is the evidence a run of the checker over some functions
+// counted, sharing no memory with the checker that counted it.
+type Partial struct {
+	calls   []stats.Count[string]
+	guarded []stats.Count[Key]
+	sites   []stats.SetRec
+	seen    []string
 }
 
-// Merge folds a fork's evidence into c: evidence merges (see
-// stats.Evidence.Merge) and seen-predicate sets union.
-func (c *Checker) Merge(o *Checker) {
-	c.ev.Merge(&o.ev)
-	for k := range o.seenPreds {
-		c.seenPreds[k] = true
+// TakePartial moves the evidence c counted since the last take into an
+// exact-size Partial (empty when there is none) and resets c for the
+// next function.
+func (c *Checker) TakePartial() Partial {
+	p := Partial{calls: stats.TakeCounts(c.calls), guarded: stats.TakeCounts(c.guarded), sites: c.log.Take()}
+	if len(c.seenPreds) > 0 {
+		p.seen = make([]string, 0, len(c.seenPreds))
+		for y := range c.seenPreds {
+			p.seen = append(p.seen, y)
+		}
+		clear(c.seenPreds)
+	}
+	return p
+}
+
+// Fold adds p's evidence to c without modifying p: counters sum, the site
+// log appends in order under its cap, and seen-predicate sets union.
+func (c *Checker) Fold(p Partial) {
+	stats.AddCounts(c.calls, p.calls)
+	stats.AddCounts(c.guarded, p.guarded)
+	c.log.AddRecs(p.sites)
+	for _, y := range p.seen {
+		c.seenPreds[y] = true
 	}
 }
+
+// Merge folds a fork's evidence into c (see Fold) and empties the fork.
+func (c *Checker) Merge(o *Checker) { c.Fold(o.TakePartial()) }
 
 // Derived is the evidence for one (X, Y) instance.
 type Derived = stats.Instance[Key]
@@ -169,22 +213,43 @@ type Derived = stats.Instance[Key]
 // Ranked returns (X, Y) instances for predicates actually seen, ordered
 // by z.
 func (c *Checker) Ranked() []Derived {
-	return slices.DeleteFunc(c.ev.Rank(stats.Order[Key]{P0: c.p0, Compare: compareKeys}),
-		func(d Derived) bool { return !c.seenPreds[d.Key.Check] })
+	ins := make([]Derived, 0, len(c.calls)*len(c.seenPreds))
+	for x := range c.calls {
+		for y := range c.seenPreds {
+			ins = append(ins, Derived{Key: Key{x, y}, Counter: c.Counter(x, y)})
+		}
+	}
+	return stats.Rank(ins, stats.Order[Key]{P0: c.p0, Compare: compareKeys})
 }
 
 // Counter exposes the evidence for (x, y).
-func (c *Checker) Counter(x, y string) stats.Counter { return c.ev.Counter(Key{x, y}) }
+func (c *Checker) Counter(x, y string) stats.Counter {
+	n := c.calls[x]
+	if n == 0 || !c.preds[y] {
+		return stats.Counter{}
+	}
+	return stats.Counter{Checks: n, Errors: n - c.guarded[Key{x, y}]}
+}
 
 // Finish reports unprotected calls to actions that are usually guarded,
 // ranked by z.
 func (c *Checker) Finish(col *report.Collector) {
+	var rows []Derived
+	var queries []stats.SetKey
 	for _, d := range c.Ranked() {
 		if d.Reportable(stats.AnyEvidence) {
-			col.AddStats("seccheck", fmt.Sprintf("security check %s must protect %s", d.Key.Check, d.Key.Action),
-				c.ev.Sites(d.Key), d.Score(), d.Counter,
-				fmt.Sprintf("%s called without a %s check; %d/%d call sites are guarded",
-					d.Key.Action, d.Key.Check, d.Examples(), d.Checks))
+			rows = append(rows, d)
+			queries = append(queries, stats.SetKey{Slot: d.Key.Action, Member: d.Key.Check})
 		}
+	}
+	if len(rows) == 0 {
+		return
+	}
+	sites := c.log.Sites(queries)
+	for i, d := range rows {
+		col.AddStats("seccheck", fmt.Sprintf("security check %s must protect %s", d.Key.Check, d.Key.Action),
+			sites[i], d.Score(), d.Counter,
+			fmt.Sprintf("%s called without a %s check; %d/%d call sites are guarded",
+				d.Key.Action, d.Key.Check, d.Examples(), d.Checks))
 	}
 }

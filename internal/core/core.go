@@ -128,12 +128,17 @@ type Options struct {
 	// is identical for every worker count. Zero or negative means
 	// runtime.NumCPU(); 1 forces the fully serial path.
 	Workers int
-	// Snapshot, when non-nil, caches per-unit frontend artifacts (parse
-	// trees, diagnostics, per-function CFGs) across runs keyed by
-	// transitive content digest. Units whose full input closure is
-	// unchanged skip preprocessing, parsing and CFG construction; the
-	// semantic index, every checker, rule derivation and ranking still run
-	// globally, so warm output is byte-identical to a cold run.
+	// Snapshot, when non-nil, caches per-unit artifacts (parse trees,
+	// diagnostics, per-function CFGs and per-function checker partials)
+	// across runs keyed by transitive content digest. Units whose full
+	// input closure is unchanged skip preprocessing, parsing, CFG
+	// construction and the per-function checker traversals; a partial is
+	// reused only under the same traversal configuration (Memoize,
+	// VisitBudget, NullConfig) and, for lockvar, the same program-wide
+	// pre-pass facts. The semantic index, lockvar's pre-pass, the
+	// program-level checkers, the fold of the partials in function order,
+	// rule derivation and ranking still run globally, so warm output is
+	// byte-identical to a cold run.
 	Snapshot *snapshot.Store
 	// Tracer, when non-nil, records one span per pipeline stage, per
 	// translation unit (with nested preprocess/parse/include spans), per
@@ -240,19 +245,21 @@ type Result struct {
 }
 
 // Timing records where a run spent its time, stage by stage. Frontend,
-// Semantic, CFG, Total and the Checkers and Derive entries are wall
-// clock; Preprocess and Parse are summed across translation units, so
-// under a parallel frontend they add up to more than Frontend — the ratio
-// is the frontend's effective parallelism.
+// Semantic, CFG, Fingerprint, Total and the Checkers and Derive entries
+// are wall clock; Preprocess and Parse are summed across translation
+// units, so under a parallel frontend they add up to more than Frontend —
+// the ratio is the frontend's effective parallelism. Total spans the run
+// from the frontend through fingerprinting.
 type Timing struct {
-	Preprocess time.Duration            // preprocessing, summed over units
-	Parse      time.Duration            // parsing, summed over units
-	Frontend   time.Duration            // wall clock of the whole frontend stage
-	Semantic   time.Duration            // semantic indexing (serial)
-	CFG        time.Duration            // CFG construction
-	Checkers   map[string]time.Duration // per checker: traversal only
-	Derive     map[string]time.Duration // per deriving checker: rule derivation (Finish)
-	Total      time.Duration
+	Preprocess  time.Duration            // preprocessing, summed over units
+	Parse       time.Duration            // parsing, summed over units
+	Frontend    time.Duration            // wall clock of the whole frontend stage
+	Semantic    time.Duration            // semantic indexing (serial)
+	CFG         time.Duration            // CFG construction
+	Checkers    map[string]time.Duration // per checker: pre-pass, traversal and the per-function fold
+	Derive      map[string]time.Duration // per deriving checker: rule derivation (Finish)
+	Fingerprint time.Duration            // stamping every report's stable fingerprint
+	Total       time.Duration
 
 	// TokenCacheHits / TokenCacheMisses count this run's shared
 	// header-scan cache traffic: hits are file scans the cache absorbed,
@@ -283,6 +290,7 @@ func (t Timing) String() string {
 		fmt.Fprintf(&b, "%-12s %12s  (rule derivation, per checker)\n", "derive", sum.Round(time.Microsecond))
 		writeStageRows(&b, t.Derive)
 	}
+	fmt.Fprintf(&b, "%-12s %12s\n", "fingerprint", t.Fingerprint.Round(time.Microsecond))
 	fmt.Fprintf(&b, "%-12s %12s\n", "total", t.Total.Round(time.Microsecond))
 	return b.String()
 }
@@ -344,6 +352,13 @@ func (a *Analyzer) configFingerprint() string {
 		fmt.Sprintf("prune:%v", !a.opts.DisableCrashPruning),
 		fmt.Sprintf("conv:%+v", *a.conv),
 	)
+}
+
+// deadlinePassed reports whether the run deadline (Options.Deadline) has
+// passed.
+func (a *Analyzer) deadlinePassed() bool {
+	d := a.opts.Deadline
+	return !d.IsZero() && time.Now().After(d)
 }
 
 // AnalyzeSources is a convenience over AnalyzeFS for in-memory code: every
@@ -408,19 +423,15 @@ func (a *Analyzer) AnalyzeFS(fs cpp.FileProvider, units []string) (*Result, erro
 		files = append(files, outs[i].file)
 	}
 
-	// Map each parsed function to the snapshot artifact that owns it, so
-	// the CFG stage can reuse and record graphs on the right cache entry.
-	var owner map[*cast.FuncDecl]*snapshot.Artifact
+	// Map each parsed function to its cell on the snapshot artifact that
+	// owns it, so the CFG and checker stages reuse and record graphs and
+	// partials on the right cache entry.
+	var owner map[*cast.FuncDecl]funcOwner
 	if a.opts.Snapshot != nil {
-		owner = make(map[*cast.FuncDecl]*snapshot.Artifact, len(units))
+		owner = make(map[*cast.FuncDecl]funcOwner, len(units))
 		for i := range outs {
-			if outs[i].art == nil || outs[i].file == nil {
-				continue
-			}
-			for _, d := range outs[i].file.Decls {
-				if fd, ok := d.(*cast.FuncDecl); ok && fd.Body != nil {
-					owner[fd] = outs[i].art
-				}
+			if outs[i].art != nil && outs[i].file != nil {
+				addOwners(owner, outs[i].art, outs[i].file)
 			}
 		}
 	}
@@ -434,15 +445,11 @@ func (a *Analyzer) AnalyzeFS(fs cpp.FileProvider, units []string) (*Result, erro
 // AnalyzeParsed (frontend partials merged from a worker fleet): both
 // fold units in deterministic order before calling it, so its output
 // depends only on the parsed input, never on which process parsed it.
-// owner maps functions to the snapshot artifacts that cache their CFGs
-// (nil when no store is attached).
-func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start time.Time, files []*cast.File, owner map[*cast.FuncDecl]*snapshot.Artifact) (*Result, error) {
+// owner maps functions to their cells on the snapshot artifacts that
+// cache their CFGs and checker partials (nil when no store is attached).
+func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start time.Time, files []*cast.File, owner map[*cast.FuncDecl]funcOwner) (*Result, error) {
 	workers := a.opts.Workers
 	tr := a.opts.Tracer
-	deadline := a.opts.Deadline
-	deadlinePassed := func() bool {
-		return !deadline.IsZero() && time.Now().After(deadline)
-	}
 
 	t0 := time.Now()
 	semSpan := root.Child("semantic")
@@ -470,7 +477,7 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 			fsp := cfgSpan.Fork("cfg-func", obs.A("func", names[i]))
 			defer fsp.End()
 		}
-		if deadlinePassed() {
+		if a.deadlinePassed() {
 			qc.stageDeadline("cfg")
 			return
 		}
@@ -479,7 +486,7 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 			defer qc.recoverInto("cfg", names[i], &panicked)
 			fault.Trap("cfg", names[i])
 			fd := res.Prog.Funcs[names[i]]
-			art := owner[fd]
+			art := owner[fd].art
 			if art != nil {
 				if g, ok := art.Graph(names[i]); ok {
 					built[i], graphReused[i] = g, true
@@ -498,14 +505,16 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 	cfgSpan.End()
 	// Functions whose CFG build was quarantined (or skipped at the run
 	// deadline) drop out of the checker stage; the rest proceed.
-	graphs := make(map[string]*cfg.Graph, len(names))
 	checkNames := make([]string, 0, len(names))
+	graphs := make([]*cfg.Graph, 0, len(names))
+	owners := make([]funcOwner, 0, len(names))
 	for i, name := range names {
 		if built[i] == nil {
 			continue
 		}
 		checkNames = append(checkNames, name)
-		graphs[name] = built[i]
+		graphs = append(graphs, built[i])
+		owners = append(owners, owner[res.Prog.Funcs[name]])
 		if res.Snapshot.Enabled {
 			if graphReused[i] {
 				res.Snapshot.GraphsReused++
@@ -520,10 +529,15 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 	if a.opts.VisitBudget > 0 {
 		eopts.MaxVisits = a.opts.VisitBudget
 	}
-	spans := chunkSpans(len(checkNames), workers)
+	cs := &checkStage{a: a, res: res, qc: qc, root: root, names: checkNames,
+		graphs: graphs, owners: owners, spans: chunkSpans(len(checkNames), workers), eopts: eopts}
+	// engineKey names the traversal configuration every engine checker's
+	// partials depend on; conventions and crash pruning are already part
+	// of the artifact's key.
+	engineKey := fmt.Sprintf("memo=%t budget=%d", a.opts.Memoize, a.opts.VisitBudget)
 
-	// checkerSpan traces one checker's traversal. Forked (own lane): the
-	// program-level checkers run concurrently with each other.
+	// checkerSpan traces one program-level checker. Forked (own lane):
+	// those checkers run concurrently with each other.
 	checkerSpan := func(name string) *obs.Span {
 		if tr == nil {
 			return nil
@@ -549,97 +563,18 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 		f()
 	}
 
-	// runEngine drives one engine checker over every function: each shard
-	// gets a forked accumulator and a private collector, folded back in
-	// shard order. Each function runs under panic isolation with its own
-	// sub-collector; a function that panics or blows its budget is
-	// quarantined — its reports dropped, the rest of the shard unharmed.
-	// The failpoint fires before the traversal touches the accumulator,
-	// so an injected fault never leaks partial state into derived rules.
-	runEngine := func(name string, fork func() engine.Checker, merge func(engine.Checker)) {
-		stage := "checker:" + name
-		t := time.Now()
-		chSpan := checkerSpan(name)
-		defer chSpan.End()
-		defer func() { res.Timing.Checkers[name] = time.Since(t) }()
-		if deadlinePassed() {
-			qc.stageDeadline(stage)
-			return
-		}
-		eo := eopts
-		eo.Span = chSpan
-		shards := make([]engine.Checker, len(spans))
-		cols := make([]*report.Collector, len(spans))
-		sts := make([]engine.RunStats, len(spans))
-		parallelDo(workers, len(spans), func(si int) {
-			ch := fork()
-			col := report.NewCollector()
-			var total engine.RunStats
-			// One traversal runner and one scratch collector per shard:
-			// the memo table, key buffer and report map are reused across
-			// every function in the shard instead of reallocated per run.
-			var runner engine.Runner
-			fcol := report.NewCollector()
-			runOne := func(fn string) {
-				defer qc.recoverInto(stage, fn, nil)
-				fault.Trap("checker", fn)
-				eoFn := eo
-				eoFn.Deadline = deadline
-				if a.opts.UnitDeadline > 0 {
-					if ud := time.Now().Add(a.opts.UnitDeadline); eoFn.Deadline.IsZero() || ud.Before(eoFn.Deadline) {
-						eoFn.Deadline = ud
-					}
-				}
-				fcol.Reset()
-				s := runner.Run(graphs[fn], ch, fcol, eoFn)
-				total.Visits += s.Visits
-				total.MemoHits += s.MemoHits
-				total.Truncated = total.Truncated || s.Truncated
-				if a.opts.VisitBudget > 0 && s.Truncated {
-					qc.add(stage, fn, visitBudgetCause(a.opts.VisitBudget))
-					return
-				}
-				if s.DeadlineExceeded {
-					if deadlinePassed() {
-						qc.markDeadline()
-					}
-					qc.add(stage, fn, "deadline-exceeded")
-					return
-				}
-				col.Merge(fcol)
-			}
-			for _, fn := range checkNames[spans[si].lo:spans[si].hi] {
-				runOne(fn)
-			}
-			shards[si], cols[si], sts[si] = ch, col, total
-		})
-		var agg engine.RunStats
-		for si := range spans {
-			merge(shards[si])
-			res.Reports.Merge(cols[si])
-			agg.Visits += sts[si].Visits
-			agg.MemoHits += sts[si].MemoHits
-			agg.Truncated = agg.Truncated || sts[si].Truncated
-		}
-		res.EngineStats[name] = agg
-	}
-
 	if a.opts.Checks.Null {
 		cfgn := null.AllChecks()
 		if a.opts.NullConfig != nil {
 			cfgn = *a.opts.NullConfig
 		}
 		ch := null.New(cfgn)
-		runEngine(ch.Name(),
-			func() engine.Checker { return ch.Fork() },
-			func(w engine.Checker) { ch.Merge(w.(*null.Checker)) })
+		runChecker(cs, engineChecker(ch.Name(), slotNull, fmt.Sprintf("%s null=%+v", engineKey, cfgn), ch.Fork, ch.Fold))
 		derive(ch.Name(), func() { ch.Finish(res.Reports) })
 	}
 	if a.opts.Checks.Free {
 		ch := freecheck.New(a.conv)
-		runEngine(ch.Name(),
-			func() engine.Checker { return ch.Fork() },
-			func(w engine.Checker) { ch.Merge(w.(*freecheck.Checker)) })
+		runChecker(cs, engineChecker(ch.Name(), slotFree, engineKey, ch.Fork, ch.Fold))
 	}
 
 	// The three program-level AST checkers are independent of each other;
@@ -669,7 +604,7 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 		if !progStages[i].enabled {
 			return
 		}
-		if deadlinePassed() {
+		if a.deadlinePassed() {
 			qc.stageDeadline("checker:" + progStages[i].name)
 			return
 		}
@@ -698,9 +633,7 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 	if a.opts.Checks.IsErr {
 		ch := iserr.New(a.conv)
 		ch.SetP0(a.opts.P0)
-		runEngine(ch.Name(),
-			func() engine.Checker { return ch.Fork() },
-			func(w engine.Checker) { ch.Merge(w.(*iserr.Checker)) })
+		runChecker(cs, engineChecker(ch.Name(), slotIsErr, engineKey, ch.Fork, ch.Fold))
 		derive(ch.Name(), func() {
 			ch.Finish(res.Reports)
 			res.IsErrFuncs = ch.Ranked()
@@ -709,9 +642,7 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 	if a.opts.Checks.Fail {
 		ch := fail.New(a.conv)
 		ch.SetP0(a.opts.P0)
-		runEngine(ch.Name(),
-			func() engine.Checker { return ch.Fork() },
-			func(w engine.Checker) { ch.Merge(w.(*fail.Checker)) })
+		runChecker(cs, engineChecker(ch.Name(), slotFail, engineKey, ch.Fork, ch.Fold))
 		derive(ch.Name(), func() {
 			ch.Finish(res.Reports)
 			res.CanFail = ch.Ranked()
@@ -719,40 +650,25 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 		})
 	}
 	if a.opts.Checks.LockVar {
+		// The program-wide pre-pass is part of the checker's stage time.
+		t := time.Now()
 		ch := lockvar.New(res.Prog, a.conv)
 		ch.SetP0(a.opts.P0)
-		runEngine(ch.Name(),
-			func() engine.Checker { return ch.Fork() },
-			func(w engine.Checker) { ch.Merge(w.(*lockvar.Checker)) })
+		key := engineKey
+		if owner != nil {
+			key += " facts=" + ch.FactsDigest()
+		}
+		res.Timing.Checkers[ch.Name()] = time.Since(t)
+		runChecker(cs, engineChecker(ch.Name(), slotLockVar, key, ch.Fork, ch.Fold))
 		derive(ch.Name(), func() {
 			ch.Finish(res.Reports)
 			res.LockBindings = ch.Bindings()
 		})
 	}
 	if a.opts.Checks.Pairing {
-		if deadlinePassed() {
-			qc.stageDeadline("checker:pairing")
-		} else {
-			t := time.Now()
-			sp := checkerSpan("pairing")
-			ch := pairing.New(a.conv, pairing.DefaultLimits())
-			forks := make([]*pairing.Checker, len(spans))
-			parallelDo(workers, len(spans), func(si int) {
-				f := ch.Fork()
-				for _, fn := range checkNames[spans[si].lo:spans[si].hi] {
-					func() {
-						defer qc.recoverInto("checker:pairing", fn, nil)
-						fault.Trap("checker", fn)
-						f.AddFunction(graphs[fn])
-					}()
-				}
-				forks[si] = f
-			})
-			for _, f := range forks {
-				ch.Merge(f)
-			}
-			sp.End()
-			res.Timing.Checkers["pairing"] = time.Since(t)
+		limits := pairing.DefaultLimits()
+		ch := pairing.New(a.conv, limits)
+		if runChecker(cs, pathChecker("pairing", slotPairing, limits, ch)) {
 			derive("pairing", func() {
 				res.Pairs = ch.Finish(res.Reports, a.opts.P0, a.opts.MinPairExamples, a.opts.MinPairScore)
 			})
@@ -761,9 +677,7 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 	if a.opts.Checks.Intr {
 		ch := intr.New(a.conv)
 		ch.SetP0(a.opts.P0)
-		runEngine(ch.Name(),
-			func() engine.Checker { return ch.Fork() },
-			func(w engine.Checker) { ch.Merge(w.(*intr.Checker)) })
+		runChecker(cs, engineChecker(ch.Name(), slotIntr, engineKey, ch.Fork, ch.Fold))
 		derive(ch.Name(), func() {
 			ch.Finish(res.Reports)
 			res.IntrFuncs = ch.Ranked()
@@ -772,53 +686,33 @@ func (a *Analyzer) downstream(res *Result, qc *quarantine, root *obs.Span, start
 	if a.opts.Checks.SecCheck {
 		ch := seccheck.New(nil)
 		ch.SetP0(a.opts.P0)
-		runEngine(ch.Name(),
-			func() engine.Checker { return ch.Fork() },
-			func(w engine.Checker) { ch.Merge(w.(*seccheck.Checker)) })
+		runChecker(cs, engineChecker(ch.Name(), slotSecCheck, engineKey, ch.Fork, ch.Fold))
 		derive(ch.Name(), func() {
 			ch.Finish(res.Reports)
 			res.SecChecks = ch.Ranked()
 		})
 	}
 	if a.opts.Checks.Reverse {
-		if deadlinePassed() {
-			qc.stageDeadline("checker:reverse")
-		} else {
-			t := time.Now()
-			sp := checkerSpan("reverse")
-			ch := reverse.New(a.conv, reverse.DefaultLimits())
-			forks := make([]*reverse.Checker, len(spans))
-			parallelDo(workers, len(spans), func(si int) {
-				f := ch.Fork()
-				for _, fn := range checkNames[spans[si].lo:spans[si].hi] {
-					func() {
-						defer qc.recoverInto("checker:reverse", fn, nil)
-						fault.Trap("checker", fn)
-						f.AddFunction(graphs[fn])
-					}()
-				}
-				forks[si] = f
-			})
-			for _, f := range forks {
-				ch.Merge(f)
-			}
-			sp.End()
-			res.Timing.Checkers["reverse"] = time.Since(t)
+		limits := reverse.DefaultLimits()
+		ch := reverse.New(a.conv, limits)
+		if runChecker(cs, pathChecker("reverse", slotReverse, limits, ch)) {
 			derive("reverse", func() {
 				res.Reversals = ch.Finish(res.Reports, a.opts.P0, a.opts.MinPairExamples, a.opts.MinPairScore)
 			})
 		}
 	}
-	res.Timing.Total = time.Since(start)
 
 	// Stable identities, computed from the same parsed files the
 	// checkers saw. Built here — the shared tail of AnalyzeFS and
 	// AnalyzeParsed — so fleet-merged runs stamp the same fingerprints
 	// as single-process ones, byte for byte.
+	t0 = time.Now()
 	fpSpan := root.Child("fingerprint")
 	res.Fingerprints = report.NewFingerprinter(files)
 	res.Reports.SetFingerprints(res.Fingerprints)
 	fpSpan.End()
+	res.Timing.Fingerprint = time.Since(t0)
+	res.Timing.Total = time.Since(start)
 
 	qc.finalize(res)
 	if j := a.opts.Journal; j != nil {

@@ -7,9 +7,11 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"deviant/internal/checkers/null"
 	"deviant/internal/cpp"
+	"deviant/internal/snapshot"
 )
 
 const miniHeader = `
@@ -227,4 +229,34 @@ func mapKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// TestTimingCoversTotal pins that the named stages account for the run:
+// on cold and warm seed-1 linux247 runs at one worker, frontend,
+// semantic, cfg, every checker row, every derive row and fingerprint add
+// up to at least 95 % of Total.
+func TestTimingCoversTotal(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 1
+	opts.Snapshot = snapshot.NewStore(0)
+	a := New(opts, nil)
+	srcs := linux247Seed1()
+	for _, run := range []string{"cold", "warm"} {
+		res, err := a.AnalyzeSources(srcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := res.Timing
+		named := tm.Frontend + tm.Semantic + tm.CFG + tm.Fingerprint
+		for _, m := range []map[string]time.Duration{tm.Checkers, tm.Derive} {
+			for _, d := range m {
+				named += d
+			}
+		}
+		if named < tm.Total*95/100 {
+			t.Errorf("%s run: named stages cover %v of total %v (%.1f%%), want >= 95%%:\n%s",
+				run, named, tm.Total, 100*float64(named)/float64(tm.Total), tm)
+		}
+		t.Logf("%s run: %.1f%% of %v named\n%s", run, 100*float64(named)/float64(tm.Total), tm.Total, tm)
+	}
 }

@@ -53,10 +53,6 @@ type unitOut struct {
 func (a *Analyzer) runFrontend(fs cpp.FileProvider, units []string, res *Result, qc *quarantine, root *obs.Span, wantTokens bool) []unitOut {
 	workers := a.opts.Workers
 	tr := a.opts.Tracer
-	deadline := a.opts.Deadline
-	deadlinePassed := func() bool {
-		return !deadline.IsZero() && time.Now().After(deadline)
-	}
 	snap := a.opts.Snapshot
 	var confFP string
 	if snap != nil {
@@ -77,7 +73,7 @@ func (a *Analyzer) runFrontend(fs cpp.FileProvider, units []string, res *Result,
 			usp = feSpan.Fork("unit", obs.A("file", units[i]))
 			defer usp.End()
 		}
-		if deadlinePassed() {
+		if a.deadlinePassed() {
 			o.quarantined = true
 			qc.stageDeadline("frontend")
 			return

@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"deviant/internal/corpus"
 	"deviant/internal/snapshot"
 )
 
@@ -291,5 +295,183 @@ func TestPersistentSnapshotAcrossRestart(t *testing.T) {
 	}
 	if got := renderResult(r4); got != want {
 		t.Errorf("healed output differs from cold")
+	}
+}
+
+// renderFull extends renderResult to everything a warm run must
+// reproduce: fingerprints, all eight derived tables, engine statistics
+// and the quarantine section.
+func renderFull(res *Result) string {
+	var b strings.Builder
+	b.WriteString(renderWithQuarantine(res))
+	for _, r := range res.Reports.Ranked() {
+		fmt.Fprintf(&b, "fp %s %s\n", r.Fingerprint, r.Pos)
+	}
+	for _, tbl := range []any{res.Pairs, res.CanFail, res.CanFailNever, res.IsErrFuncs,
+		res.LockBindings, res.IntrFuncs, res.SecChecks, res.Reversals} {
+		fmt.Fprintf(&b, "%+v\n", tbl)
+	}
+	names := make([]string, 0, len(res.EngineStats))
+	for n := range res.EngineStats {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintf(&b, "engine %s %+v\n", n, res.EngineStats[n])
+	}
+	return b.String()
+}
+
+// linux247Seed1 is the seed-1 linux247 tree, the repository benchmark's
+// default input: 80 units of 17 functions sharing include/kernel.h.
+func linux247Seed1() map[string]string {
+	spec := corpus.Linux247()
+	spec.Seed = 1
+	return corpus.Generate(spec).Files
+}
+
+// perFuncCheckers is how many per-function checkers (and so partials per
+// function) a default run has: null, free, iserr, fail, lockvar, pairing,
+// intr, seccheck and reverse.
+const perFuncCheckers = 9
+
+// funcsIn counts the analyzed functions defined in the named units.
+func funcsIn(res *Result, units ...string) int {
+	n := 0
+	for _, fd := range res.Prog.Funcs {
+		if slices.Contains(units, fd.NamePos.File) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestIncrementalEditSequence walks a warm store through four edits of the
+// linux247 seed-1 tree at Workers 1 and 4. At every step the warm run
+// must equal a cold run of the same tree, and it must rebuild exactly
+// the partials its edit invalidated: those of units whose version
+// changed — the edited unit, and a unit reverted to its base version,
+// whose partials the store dropped when the edit superseded it — plus
+// every lockvar partial when lockvar's pre-pass facts change.
+func TestIncrementalEditSequence(t *testing.T) {
+	base := linux247Seed1()
+	const u, v = "drivers/eth2.c", "drivers/eth14.c"
+	with := func(edits map[string]string) map[string]string {
+		out := make(map[string]string, len(base))
+		for k, s := range base {
+			out[k] = s + edits[k]
+		}
+		return out
+	}
+	// Each step's wantBuilt gets the warm result and the total function
+	// count and returns the partials the step must rebuild.
+	steps := []struct {
+		name      string
+		srcs      map[string]string
+		wantBuilt func(res *Result, total int) int
+	}{
+		{"append a clean function", with(map[string]string{u: "\nint edit_clean(int x)\n{\n\treturn x + 1;\n}\n"}),
+			func(res *Result, total int) int { return perFuncCheckers * funcsIn(res, u) }},
+		{"wrap a global access in a new lock pair", with(map[string]string{v: `
+static struct spinlock eth14_newlock;
+int edit_locked(int x)
+{
+	spin_lock(&eth14_newlock);
+	eth14_tmp = x;
+	spin_unlock(&eth14_newlock);
+	return x;
+}
+`}),
+			func(res *Result, total int) int {
+				changed := funcsIn(res, u, v)
+				return perFuncCheckers*changed + (total - changed)
+			}},
+		{"edit the shared header", with(map[string]string{"include/kernel.h": "int edit_decl(int x);\n"}),
+			func(res *Result, total int) int { return perFuncCheckers * total }},
+		{"revert to the base tree", base,
+			func(res *Result, total int) int { return perFuncCheckers * total }},
+	}
+	cold := make([]string, len(steps))
+	for i, st := range steps {
+		res, err := New(DefaultOptions(), nil).AnalyzeSources(st.srcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold[i] = renderFull(res)
+	}
+	for _, workers := range []int{1, 4} {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		opts.Snapshot = snapshot.NewStore(0)
+		warm := New(opts, nil)
+		fill, err := warm.AnalyzeSources(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := fill.FuncCount
+		if got := fill.Snapshot.PartialsBuilt; got != perFuncCheckers*total || fill.Snapshot.PartialsReused != 0 {
+			t.Fatalf("workers=%d fill: %+v, want %d built", workers, fill.Snapshot, perFuncCheckers*total)
+		}
+		for i, st := range steps {
+			res, err := warm.AnalyzeSources(st.srcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderFull(res); got != cold[i] {
+				t.Errorf("workers=%d %s: warm output differs from cold", workers, st.name)
+			}
+			sn := res.Snapshot
+			want := st.wantBuilt(res, res.FuncCount)
+			if sn.PartialsBuilt != want || sn.PartialsBuilt+sn.PartialsReused != perFuncCheckers*res.FuncCount {
+				t.Errorf("workers=%d %s: partials built %d reused %d, want %d built of %d",
+					workers, st.name, sn.PartialsBuilt, sn.PartialsReused, want, perFuncCheckers*res.FuncCount)
+			}
+		}
+	}
+}
+
+// TestIncrementalConcurrentVersions runs two warm analyses of different
+// versions of one unit over one store at the same time, several rounds,
+// so each supersedes the other's partials mid-run (run it under -race).
+// Every result must equal the cold run of its own tree.
+func TestIncrementalConcurrentVersions(t *testing.T) {
+	trees := []map[string]string{incrSources(), incrSources()}
+	trees[1]["gamma.c"] = strings.Replace(trees[1]["gamma.c"], "b[0] = 1;", "if (!b)\n\t\treturn -1;\n\tb[0] = 1;", 1)
+	want := make([]string, len(trees))
+	for i, srcs := range trees {
+		res, err := New(DefaultOptions(), nil).AnalyzeSources(srcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = renderFull(res)
+	}
+	if want[0] == want[1] {
+		t.Fatal("the two versions analyze identically; the test cannot tell them apart")
+	}
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.Snapshot = snapshot.NewStore(0)
+	a := New(opts, nil)
+	for round := 0; round < 4; round++ {
+		got := make([]string, len(trees))
+		var wg sync.WaitGroup
+		for i := range trees {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				res, err := a.AnalyzeSources(trees[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = renderFull(res)
+			}(i)
+		}
+		wg.Wait()
+		for i := range trees {
+			if got[i] != want[i] {
+				t.Errorf("round %d version %d: warm output differs from cold", round, i)
+			}
+		}
 	}
 }

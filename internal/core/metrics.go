@@ -20,6 +20,7 @@ const (
 	MetricTokenCacheMiss  = "deviant_token_cache_misses_total"
 	MetricSnapshotUnits   = "deviant_snapshot_units_total"
 	MetricSnapshotGraphs  = "deviant_snapshot_graphs_total"
+	MetricSnapshotParts   = "deviant_snapshot_partials_total"
 	MetricFunctions       = "deviant_functions_analyzed_total"
 	MetricLines           = "deviant_lines_analyzed_total"
 	MetricRuns            = "deviant_runs_total"
@@ -59,6 +60,7 @@ func (r *Result) RecordMetrics(reg *obs.Registry) {
 		{"parse", r.Timing.Parse.Seconds()},
 		{"semantic", r.Timing.Semantic.Seconds()},
 		{"cfg", r.Timing.CFG.Seconds()},
+		{"fingerprint", r.Timing.Fingerprint.Seconds()},
 		{"total", r.Timing.Total.Seconds()},
 	}
 	for _, s := range stages {
@@ -104,6 +106,9 @@ func (r *Result) RecordMetrics(reg *obs.Registry) {
 		reg.Counter(MetricSnapshotGraphs, "Function CFGs served per snapshot outcome.",
 			obs.L("outcome", "reused")).Add(float64(r.Snapshot.GraphsReused))
 		reg.Counter(MetricSnapshotGraphs, "", obs.L("outcome", "built")).Add(float64(r.Snapshot.GraphsBuilt))
+		reg.Counter(MetricSnapshotParts, "Per-function checker partials served per snapshot outcome.",
+			obs.L("outcome", "reused")).Add(float64(r.Snapshot.PartialsReused))
+		reg.Counter(MetricSnapshotParts, "", obs.L("outcome", "built")).Add(float64(r.Snapshot.PartialsBuilt))
 	}
 	reg.Counter(MetricFunctions, "Functions analyzed.").Add(float64(r.FuncCount))
 	reg.Counter(MetricLines, "Source lines analyzed.").Add(float64(r.LineCount))

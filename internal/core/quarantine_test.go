@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"deviant/internal/fault"
+	"deviant/internal/snapshot"
 )
 
 // quarantineSources is a small multi-unit corpus with distinctive
@@ -208,6 +209,18 @@ func TestQuarantineVisitBudget(t *testing.T) {
 	if renders[0] != renders[1] || renders[0] != renders[2] {
 		t.Errorf("visit-budget quarantine differs across worker counts:\n%s\nvs\n%s\nvs\n%s",
 			renders[0], renders[1], renders[2])
+	}
+	// Budget-truncated partials are cached with their flag: a warm run
+	// over a store reuses every partial and re-adds every budget record.
+	store := snapshot.NewStore(0)
+	warmBudget := func(o *Options) { withBudget(o); o.Snapshot = store }
+	analyzeWorkers(t, quarantineSources(), 4, warmBudget)
+	warm := analyzeWorkers(t, quarantineSources(), 4, warmBudget)
+	if warm.Snapshot.PartialsBuilt != 0 || warm.Snapshot.PartialsReused == 0 {
+		t.Errorf("warm budget run: %+v, want every partial reused", warm.Snapshot)
+	}
+	if got := renderWithQuarantine(warm); got != renders[0] {
+		t.Errorf("warm visit-budget run differs from cold:\n%s\nvs\n%s", got, renders[0])
 	}
 	// A generous budget quarantines nothing and matches the default run.
 	loose := analyzeWorkers(t, quarantineSources(), 4, func(o *Options) { o.VisitBudget = 1 << 20 })

@@ -127,6 +127,16 @@ func (c *Collector) Merge(o *Collector) {
 	}
 }
 
+// Reports returns the collected reports in insertion order as an
+// exact-size copy, nil when there are none. Adding them in order to
+// another collector has the effect of Merge.
+func (c *Collector) Reports() []Report {
+	if len(c.keys) == 0 {
+		return nil
+	}
+	return c.all()
+}
+
 // all returns the reports in insertion order.
 func (c *Collector) all() []Report {
 	out := make([]Report, 0, len(c.keys))

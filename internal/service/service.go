@@ -344,6 +344,9 @@ func (s *Server) initMetrics() {
 	s.reg.GaugeFunc("deviantd_snapshot_graphs",
 		"Function CFGs resident in the snapshot store.",
 		func() float64 { return float64(s.store.Stats().Graphs) })
+	s.reg.GaugeFunc("deviantd_snapshot_partials",
+		"Per-function checker partials resident in the snapshot store.",
+		func() float64 { return float64(s.store.Stats().Partials) })
 	// Pre-create one latency histogram per endpoint so a fresh scrape
 	// shows the full set.
 	for _, ep := range []string{"analyze", "shard", "diff", "rules", "jobs", "healthz", "metrics"} {

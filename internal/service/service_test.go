@@ -440,6 +440,12 @@ func TestMetrics(t *testing.T) {
 		`deviant_stage_seconds_total{stage="frontend"}`,
 		"# TYPE deviant_report_z histogram",
 		"deviant_runs_total 2",
+		`deviant_stage_seconds_total{stage="fingerprint"}`,
+		// Five functions, nine per-function checkers: the first run
+		// builds every partial, the warm one reuses them all.
+		`deviant_snapshot_partials_total{outcome="built"} 45`,
+		`deviant_snapshot_partials_total{outcome="reused"} 45`,
+		"deviantd_snapshot_partials 45",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)

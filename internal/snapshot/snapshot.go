@@ -30,6 +30,26 @@
 // after construction (the parallel pipeline already shares them across
 // checker goroutines), so one cached artifact may serve many concurrent
 // requests.
+//
+// An artifact also caches checker partials: what each of its functions
+// contributed to each per-function checker (see Artifact.Partial). A
+// partial lives in a slot (one per checker) under a key naming everything
+// beyond the artifact's own inputs that its traversal read — the
+// checker's traversal configuration, and for lockvar the program-wide
+// pre-pass facts. Partial invalidation rules:
+//
+//  1. everything that invalidates the artifact invalidates its partials;
+//  2. a partial is served only under its exact slot key; storing a slot
+//     under a new key drops every partial of that slot on the artifact
+//     (a lockvar fact change rebuilds every lockvar partial, no other);
+//  3. one version per unit holds partials: when a run looks up or adds a
+//     version of (fingerprint, unit), every other resident version of
+//     that unit drops its partials and stops accepting new ones. Graphs
+//     and parse trees are unaffected. Superseded versions stay resident
+//     until the LRU bound evicts them, so without this rule every edit
+//     would pin another unit's worth of partials.
+//
+// Partials are immutable once stored: concurrent runs fold the same ones.
 package snapshot
 
 import (
@@ -71,6 +91,19 @@ type Artifact struct {
 
 	mu     sync.Mutex
 	graphs map[string]*cfg.Graph
+	// holder marks the one resident version of its unit that holds
+	// partials (rule 3 above); parts is indexed by slot.
+	holder bool
+	parts  []partSlot
+}
+
+// partSlot is one checker's partials on an artifact: its key and one cell
+// per function definition of the unit, in declaration order. A cell is a
+// partial and the word stored with it; noPartial marks an empty one.
+type partSlot struct {
+	key   string
+	fns   []any
+	words []uint64
 }
 
 // TokensRef returns the artifact's retained token stream (nil when the
@@ -102,6 +135,82 @@ func (a *Artifact) SetGraph(fn string, g *cfg.Graph) {
 	a.mu.Unlock()
 }
 
+// Partial returns the partial cached for the unit's fn-th function
+// definition (FuncDecls with a body, counted in declaration order) in
+// slot under key, with the word stored beside it. ok is false when
+// nothing is cached there under key. A cached partial may be nil: a
+// function that contributed nothing but its word.
+func (a *Artifact) Partial(slot int, key string, fn int) (p any, word uint64, ok bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if slot >= len(a.parts) || a.parts[slot].key != key || fn >= len(a.parts[slot].fns) {
+		return nil, 0, false
+	}
+	ps := &a.parts[slot]
+	if p = ps.fns[fn]; p == noPartial {
+		return nil, 0, false
+	}
+	return p, ps.words[fn], true
+}
+
+// noPartial marks an empty cell: a stored nil partial is a valid answer.
+var noPartial any = new(byte)
+
+// SetPartial caches p and word for the unit's fn-th function definition
+// in slot under key, out of nfns definitions. The word holds a small
+// value beside p without an allocation (core packs traversal statistics
+// into it, so a function that contributed nothing else costs no object).
+// A different key already on the slot is dropped with every partial under
+// it. p must be immutable from here on: it may be served to concurrent
+// runs. An artifact that does not hold its unit's partials (rule 3 in the
+// package doc) ignores the call.
+func (a *Artifact) SetPartial(slot int, key string, fn, nfns int, p any, word uint64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !a.holder || fn >= nfns {
+		return
+	}
+	if slot >= len(a.parts) {
+		a.parts = append(a.parts, make([]partSlot, slot+1-len(a.parts))...)
+	}
+	ps := &a.parts[slot]
+	if ps.key != key || len(ps.fns) != nfns {
+		ps.key = key
+		ps.fns = make([]any, nfns)
+		ps.words = make([]uint64, nfns)
+		for i := range ps.fns {
+			ps.fns[i] = noPartial
+		}
+	}
+	ps.fns[fn], ps.words[fn] = p, word
+}
+
+// PartialCount returns the number of partials cached on this artifact.
+func (a *Artifact) PartialCount() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := 0
+	for _, ps := range a.parts {
+		for _, p := range ps.fns {
+			if p != noPartial {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// hold makes a the partial holder of its unit, or (on false) drops its
+// partials and refuses new ones.
+func (a *Artifact) hold(on bool) {
+	a.mu.Lock()
+	a.holder = on
+	if !on {
+		a.parts = nil
+	}
+	a.mu.Unlock()
+}
+
 // GraphCount returns the number of CFGs cached on this artifact.
 func (a *Artifact) GraphCount() int {
 	a.mu.Lock()
@@ -116,6 +225,7 @@ type Stats struct {
 	Evictions  int64 // artifacts dropped by the LRU bound
 	Units      int   // artifacts currently resident
 	Graphs     int   // CFGs currently resident across all artifacts
+	Partials   int   // checker partials currently resident across all artifacts
 
 	// LookupNs is the cumulative wall clock spent in Lookup — dominated
 	// by re-hashing each unit's transitive content closure, which is the
@@ -141,6 +251,10 @@ type RunStats struct {
 	UnitsParsed  int  `json:"units_parsed"`
 	GraphsReused int  `json:"graphs_reused"`
 	GraphsBuilt  int  `json:"graphs_built"`
+	// PartialsReused and PartialsBuilt count (function, checker) partials
+	// served from the store and computed by traversal.
+	PartialsReused int `json:"partials_reused"`
+	PartialsBuilt  int `json:"partials_built"`
 }
 
 // dep is one file the expansion of a unit consulted: either a resolved
@@ -161,6 +275,7 @@ type depList struct {
 type entry struct {
 	art     *Artifact
 	depKey  string // owning depList, for eviction cleanup
+	unitKey string // fingerprint|unit, the key of holders
 	lastUse uint64
 }
 
@@ -169,8 +284,9 @@ type entry struct {
 type Store struct {
 	mu       sync.Mutex
 	maxUnits int
-	entries  map[string]*entry   // transitive key -> artifact
-	depLists map[string]*depList // fingerprint|unit|unitDigest -> last dep set
+	entries  map[string]*entry    // transitive key -> artifact
+	depLists map[string]*depList  // fingerprint|unit|unitDigest -> last dep set
+	holders  map[string]*Artifact // fingerprint|unit -> the version holding partials
 	tick     uint64
 
 	// disk, when non-nil, is the crash-safe persistent tier: entries
@@ -201,6 +317,7 @@ func NewStore(maxUnits int) *Store {
 		maxUnits: maxUnits,
 		entries:  make(map[string]*entry),
 		depLists: make(map[string]*depList),
+		holders:  make(map[string]*Artifact),
 	}
 }
 
@@ -251,7 +368,21 @@ func transitiveKey(fs cpp.FileProvider, fingerprint, unit, unitDigest string, de
 }
 
 func depKeyOf(fingerprint, unit, unitDigest string) string {
-	return fingerprint + "\x00" + unit + "\x00" + unitDigest
+	return unitKeyOf(fingerprint, unit) + "\x00" + unitDigest
+}
+
+func unitKeyOf(fingerprint, unit string) string { return fingerprint + "\x00" + unit }
+
+// holdLocked makes e's artifact the partial holder of its unit, dropping
+// the previous holder's partials. Callers hold s.mu.
+func (s *Store) holdLocked(e *entry) {
+	if h := s.holders[e.unitKey]; h != e.art {
+		if h != nil {
+			h.hold(false)
+		}
+		e.art.hold(true)
+		s.holders[e.unitKey] = e.art
+	}
 }
 
 // Lookup returns the cached artifact for unit if the unit's transitive
@@ -284,6 +415,7 @@ func (s *Store) Lookup(fs cpp.FileProvider, fingerprint, unit string) (*Artifact
 	if e, ok := s.entries[key]; ok {
 		s.tick++
 		e.lastUse = s.tick
+		s.holdLocked(e)
 		s.mu.Unlock()
 		s.hits.Add(1)
 		return e.art, true
@@ -317,10 +449,13 @@ func (s *Store) Lookup(fs cpp.FileProvider, fingerprint, unit string) (*Artifact
 		// so concurrent runs share one tree.
 		s.tick++
 		e.lastUse = s.tick
+		s.holdLocked(e)
 		return e.art, true
 	}
 	s.tick++
-	s.entries[key] = &entry{art: art, depKey: dk, lastUse: s.tick}
+	e := &entry{art: art, depKey: dk, unitKey: unitKeyOf(fingerprint, unit), lastUse: s.tick}
+	s.entries[key] = e
+	s.holdLocked(e)
 	s.evictLocked()
 	return art, true
 }
@@ -351,11 +486,16 @@ func (s *Store) Add(fs cpp.FileProvider, fingerprint, unit string, includes, mis
 	s.mu.Lock()
 	s.tick++
 	s.depLists[dk] = &depList{deps: deps, key: key}
-	if _, exists := s.entries[key]; !exists {
-		s.entries[key] = &entry{art: art, depKey: dk, lastUse: s.tick}
-		s.evictLocked()
+	e, exists := s.entries[key]
+	if !exists {
+		e = &entry{art: art, depKey: dk, unitKey: unitKeyOf(fingerprint, unit), lastUse: s.tick}
+		s.entries[key] = e
 	} else {
-		s.entries[key].lastUse = s.tick
+		e.lastUse = s.tick
+	}
+	s.holdLocked(e)
+	if !exists {
+		s.evictLocked()
 	}
 	d, retain := s.disk, s.retainTokens
 	s.mu.Unlock()
@@ -416,6 +556,10 @@ func (s *Store) evictLocked() {
 				delete(s.depLists, victim.depKey)
 			}
 		}
+		if s.holders[victim.unitKey] == victim.art {
+			delete(s.holders, victim.unitKey)
+			victim.art.hold(false)
+		}
 		delete(s.entries, victimKey)
 		s.evictions.Add(1)
 	}
@@ -426,9 +570,10 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	units := len(s.entries)
 	diskEntries := len(s.diskIdx)
-	graphs := 0
+	graphs, partials := 0, 0
 	for _, e := range s.entries {
 		graphs += e.art.GraphCount()
+		partials += e.art.PartialCount()
 	}
 	s.mu.Unlock()
 	return Stats{
@@ -437,6 +582,7 @@ func (s *Store) Stats() Stats {
 		Evictions:   s.evictions.Load(),
 		Units:       units,
 		Graphs:      graphs,
+		Partials:    partials,
 		LookupNs:    s.lookupNs.Load(),
 		DiskEntries: diskEntries,
 		DiskHits:    s.diskHits.Load(),
@@ -450,8 +596,12 @@ func (s *Store) Stats() Stats {
 // the digests cannot see.
 func (s *Store) Flush() {
 	s.mu.Lock()
+	for _, h := range s.holders {
+		h.hold(false)
+	}
 	s.entries = make(map[string]*entry)
 	s.depLists = make(map[string]*depList)
+	s.holders = make(map[string]*Artifact)
 	var keys []string
 	d := s.disk
 	if d != nil {

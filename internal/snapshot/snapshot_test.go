@@ -142,6 +142,78 @@ func TestStoreGraphCache(t *testing.T) {
 	}
 }
 
+// TestStorePartialCells pins the partial cells: a stored nil partial is
+// a hit, a different key misses, and storing a slot under a new key
+// drops every partial of that slot and no other.
+func TestStorePartialCells(t *testing.T) {
+	s := NewStore(0)
+	art := addUnit(t, s, sources(), "a.c")
+	if _, _, ok := art.Partial(0, "k", 0); ok {
+		t.Fatal("partial present before SetPartial")
+	}
+	art.SetPartial(0, "k", 0, 2, nil, 7)
+	art.SetPartial(0, "k", 1, 2, "p1", 0)
+	art.SetPartial(1, "k", 0, 2, "q0", 0)
+	if p, w, ok := art.Partial(0, "k", 0); !ok || p != nil || w != 7 {
+		t.Errorf("nil partial: %v/%d/%v, want a nil hit with word 7", p, w, ok)
+	}
+	if _, _, ok := art.Partial(0, "other", 1); ok {
+		t.Error("a different key hit")
+	}
+	art.SetPartial(0, "k2", 0, 2, "p0", 0)
+	if _, _, ok := art.Partial(0, "k", 1); ok {
+		t.Error("a slot's old-key partial survived a new key")
+	}
+	if p, _, ok := art.Partial(1, "k", 0); !ok || p != "q0" {
+		t.Errorf("another slot's partial: %v/%v, want q0", p, ok)
+	}
+	if st := s.Stats(); st.Partials != 2 {
+		t.Errorf("Stats.Partials = %d, want 2", st.Partials)
+	}
+}
+
+// TestStoreOnePartialHolderPerUnit pins rule 3 of the package doc: adding
+// or looking up a version of a unit drops every other version's
+// partials, and a superseded version accepts no new ones.
+func TestStoreOnePartialHolderPerUnit(t *testing.T) {
+	s := NewStore(0)
+	fs := sources()
+	v1 := addUnit(t, s, fs, "a.c")
+	b := addUnit(t, s, fs, "b.c")
+	v1.SetPartial(0, "k", 0, 1, "v1", 0)
+	b.SetPartial(0, "k", 0, 1, "b", 0)
+
+	edited := sources()
+	edited["a.c"] = "#include <defs.h>\nint a(void) { return N + 9; }\n"
+	v2 := addUnit(t, s, edited, "a.c")
+	if v1.PartialCount() != 0 {
+		t.Error("superseded version kept its partials")
+	}
+	v1.SetPartial(0, "k", 0, 1, "late", 0)
+	if v1.PartialCount() != 0 {
+		t.Error("superseded version accepted a partial")
+	}
+	v2.SetPartial(0, "k", 0, 1, "v2", 0)
+	if b.PartialCount() != 1 {
+		t.Error("another unit's partials were dropped")
+	}
+
+	// Looking the first version up again makes it the holder.
+	if got, ok := s.Lookup(fs, fp, "a.c"); !ok || got != v1 {
+		t.Fatal("first version no longer resident")
+	}
+	if v2.PartialCount() != 0 {
+		t.Error("looking up v1 left v2's partials resident")
+	}
+	v1.SetPartial(0, "k", 0, 1, "v1 again", 0)
+	if p, _, ok := v1.Partial(0, "k", 0); !ok || p != "v1 again" {
+		t.Errorf("holder refused a partial: %v/%v", p, ok)
+	}
+	if st := s.Stats(); st.Partials != 2 {
+		t.Errorf("Stats.Partials = %d, want 2 (one holder per unit)", st.Partials)
+	}
+}
+
 func TestStoreCountersAndConcurrency(t *testing.T) {
 	s := NewStore(0)
 	fs := sources()

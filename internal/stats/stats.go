@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"deviant/internal/ctoken"
 )
@@ -144,13 +145,167 @@ func (e *Evidence[K]) Check(k K, err bool, pos ctoken.Pos) {
 	}
 }
 
-// Merge folds o's evidence into e: counters sum, and site lists
-// concatenate in merge order under the cap — so folding per-worker
-// evidence in function order reproduces the serial evidence exactly.
-func (e *Evidence[K]) Merge(o *Evidence[K]) {
-	for k, v := range o.m {
-		e.add(k, v.Counter, v.sites...)
+// Item is one slot instance's evidence in compact form: what Take moves
+// out of an Evidence and AddItems folds back in.
+type Item[K comparable] struct {
+	Key K
+	Counter
+	Sites []ctoken.Pos
+}
+
+// Take moves e's evidence out as an exact-size item list, every item's
+// sites in one shared backing array, and leaves e empty with its map's
+// capacity kept for reuse. It returns nil when e holds nothing. The items
+// share no memory with e, so a caller may keep them while e goes on
+// counting; folding each batch with AddItems, in the order they were
+// taken, reproduces the evidence of one uninterrupted count.
+func (e *Evidence[K]) Take() []Item[K] {
+	if len(e.m) == 0 {
+		return nil
 	}
+	n := 0
+	for _, v := range e.m {
+		n += len(v.sites)
+	}
+	sites := make([]ctoken.Pos, 0, n)
+	out := make([]Item[K], 0, len(e.m))
+	for k, v := range e.m {
+		lo := len(sites)
+		sites = append(sites, v.sites...)
+		out = append(out, Item[K]{Key: k, Counter: v.Counter, Sites: sites[lo:len(sites):len(sites)]})
+	}
+	clear(e.m)
+	return out
+}
+
+// AddItems folds items into e: counters sum, and site lists concatenate
+// in fold order under the cap — so folding per-function evidence in
+// function order reproduces the serial evidence exactly. It copies what
+// it keeps, so the items stay untouched and may be folded again into
+// another Evidence.
+func (e *Evidence[K]) AddItems(items []Item[K]) {
+	for i := range items {
+		e.add(items[i].Key, items[i].Counter, items[i].Sites...)
+	}
+}
+
+// Count is one key's tally in compact form (see TakeCounts).
+type Count[K comparable] struct {
+	Key K
+	N   int
+}
+
+// TakeCounts moves m's tallies out as an exact-size list (nil when m is
+// empty) and clears m for reuse.
+func TakeCounts[K comparable](m map[K]int) []Count[K] {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make([]Count[K], 0, len(m))
+	for k, n := range m {
+		out = append(out, Count[K]{k, n})
+	}
+	clear(m)
+	return out
+}
+
+// AddCounts adds each tally of cs into m.
+func AddCounts[K comparable](m map[K]int, cs []Count[K]) {
+	for _, c := range cs {
+		m[c.Key] += c.N
+	}
+}
+
+// SetLog is the counter-example log of a template whose rule is "member
+// m must be in the set at every use of slot s": lockvar's "lock l is held
+// at each access of v", seccheck's "check y dominates each call of x". Such
+// counters factor — Checks(s, m) is the uses of s, Examples(s, m) the uses
+// of s with m in the set — so the checker tallies those and the log keeps
+// one record per use: its site and the set's signature (each member
+// followed by a comma, ascending, as engine.NextKey enumerates a set). A
+// record is a counter-example of every member its signature lacks. The
+// log keeps the first MaxSites records per (slot, signature); that keeps
+// every (slot, member) pair's first MaxSites counter-examples, which is
+// all Sites reads. The zero value is ready to use.
+type SetLog struct {
+	recs []SetRec
+	n    map[sigKey]int
+}
+
+// SetRec is one logged use of a slot.
+type SetRec struct {
+	Slot, Sig string
+	Pos       ctoken.Pos
+}
+
+type sigKey struct{ slot, sig string }
+
+// SetKey is one (slot, member) pair of a SetLog's template.
+type SetKey struct{ Slot, Member string }
+
+// Add logs one use of slot at pos under the set signature sig.
+func (l *SetLog) Add(slot, sig string, pos ctoken.Pos) {
+	k := sigKey{slot, sig}
+	if l.n == nil {
+		l.n = make(map[sigKey]int)
+	}
+	if l.n[k] < MaxSites {
+		l.n[k]++
+		l.recs = append(l.recs, SetRec{slot, sig, pos})
+	}
+}
+
+// Take moves the log out as an exact-size record list (nil when empty)
+// and resets l for reuse, keeping its capacity.
+func (l *SetLog) Take() []SetRec {
+	if len(l.recs) == 0 {
+		return nil
+	}
+	out := make([]SetRec, len(l.recs))
+	copy(out, l.recs)
+	clear(l.recs)
+	l.recs = l.recs[:0]
+	clear(l.n)
+	return out
+}
+
+// AddRecs logs recs in order, re-applying the cap; recs is not retained.
+func (l *SetLog) AddRecs(recs []SetRec) {
+	for _, r := range recs {
+		l.Add(r.Slot, r.Sig, r.Pos)
+	}
+}
+
+// Sites returns each query's counter-example sites: for query i, the
+// logged uses of its slot whose signature lacks its member, in log order
+// under the AppendSites cap.
+func (l *SetLog) Sites(queries []SetKey) [][]ctoken.Pos {
+	bySlot := make(map[string][]int)
+	for i, q := range queries {
+		bySlot[q.Slot] = append(bySlot[q.Slot], i)
+	}
+	out := make([][]ctoken.Pos, len(queries))
+	for _, r := range l.recs {
+		for _, i := range bySlot[r.Slot] {
+			if !SigHas(r.Sig, queries[i].Member) {
+				out[i] = AppendSites(out[i], r.Pos)
+			}
+		}
+	}
+	return out
+}
+
+// SigHas reports whether the comma-terminated signature sig contains m
+// as a whole member.
+func SigHas(sig, m string) bool {
+	for len(sig) > 0 {
+		i := strings.IndexByte(sig, ',')
+		if sig[:i] == m {
+			return true
+		}
+		sig = sig[i+1:]
+	}
+	return false
 }
 
 // Counter returns k's evidence (zero if never checked).

@@ -169,7 +169,11 @@ func TestSiteCapAndMerge(t *testing.T) {
 	b.Check("k", true, ctoken.Pos{Line: 1000})
 	b.Check("k", true, ctoken.Pos{Line: 1001})
 	b.Check("k", false, ctoken.Pos{Line: 1002})
-	a.Merge(&b)
+	items := b.Take()
+	a.AddItems(items)
+	if b.Counter("k") != (Counter{}) || len(items) != 1 || len(items[0].Sites) != 2 {
+		t.Errorf("Take must empty b and keep its evidence: %+v, %+v", b.Counter("k"), items)
+	}
 	if c := a.Counter("k"); c.Checks != MaxSites+2 || c.Errors != MaxSites+1 {
 		t.Errorf("merged counter: %+v", c)
 	}
